@@ -7,17 +7,15 @@ from .collocation import (CollocationScheme, GaussRule, SlabPolynomial,
 from .diagnostics import (ConvergenceTable, InternalMassObserver,
                           ObservationRecord, RunRecorder,
                           TrajectoryErrorObserver, eoc, internal_mass_check,
-                          mass, original_energy, sav_energy, trajectory_error)
+                          mass, original_energy, sav_energy)
 from .errors import (ConfigurationError, InputError, ModelError, SavNlsError,
                      SolverError, StepError, UsageError)
 from .fem import (DIRICHLET, PERIODIC, FemSpace, Mesh1D, assemble_mass,
                   assemble_stiffness, build_space, error_norms, evaluate,
                   integrate_density, interpolate)
-from .linsolve import (BorderedSolution, BorderedSystem, Factorization, factor,
-                       solve_bordered)
+from .linsolve import BorderedSolution, BorderedSystem, factor, solve_bordered
 from .model import (Nonlinearity, SavState, custom_nonlinearity,
-                    g_derivatives, g_scalar_denominator, g_times_u, power_law,
-                    r_init)
+                    g_derivatives, g_times_u, power_law, r_init)
 from .stepper import (Assemblies, SlabUnknowns, StepReport, StepperConfig,
                       TrajectorySummary, advance, integrate, newton_step,
                       residual)

@@ -10,7 +10,8 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -53,18 +54,11 @@ class ExperimentConfig:
     newton_tol: float = 1e-10
     max_newton_iters: int = 25
     nq: int = 0                  # 0 = default p+2
-    tau_list: tuple = ()
-    M_list: tuple = ()
+    tau_list: tuple[float, ...] = ()
+    M_list: tuple[int, ...] = ()
 
 
 _REQUIRED = ("M", "p", "k", "tau", "T")
-
-_PARSERS = {
-    "problem": str, "a": float, "b": float, "M": int, "p": int, "k": int,
-    "tau": float, "T": float, "kappa": float, "q": float, "c0": float,
-    "bc": str, "newton_tol": float, "max_newton_iters": int, "nq": int,
-    "tau_list": "float_list", "M_list": "int_list",
-}
 
 
 def _parse_float(raw):
@@ -76,16 +70,21 @@ def _parse_float(raw):
     return float(raw)
 
 
+def _parser(annotation):
+    """Value parser for an ExperimentConfig field annotation."""
+    scalar = {float: _parse_float, int: int, str: str}
+    if get_origin(annotation) is tuple:
+        item = scalar[get_args(annotation)[0]]
+        return lambda raw: tuple(item(v) for v in str(raw).replace(",", " ").split())
+    return scalar[annotation]
+
+
+_PARSERS = {f.name: _parser(f.type) for f in fields(ExperimentConfig)}
+
+
 def _parse_value(key, raw):
-    kind = _PARSERS[key]
     try:
-        if kind == "float_list":
-            return tuple(_parse_float(v) for v in str(raw).replace(",", " ").split())
-        if kind == "int_list":
-            return tuple(int(v) for v in str(raw).replace(",", " ").split())
-        if kind is float:
-            return _parse_float(raw)
-        return kind(raw)
+        return _PARSERS[key](raw)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad value for config key '{key}': {raw!r}") from exc
 
@@ -272,7 +271,10 @@ def _sweep_entry(args):
 
 def _sweep_workers(n_entries):
     env = os.environ.get("SAV_NLS_THREADS")
-    limit = int(env) if env else (os.cpu_count() or 1)
+    try:
+        limit = int(env) if env else (os.cpu_count() or 1)
+    except ValueError as exc:
+        raise UsageError(f"SAV_NLS_THREADS must be an integer, got {env!r}") from exc
     return max(1, min(limit, n_entries))
 
 
@@ -327,7 +329,7 @@ def _add_config_options(parser):
     parser.add_argument("--out-dir", default=".", help="output directory for CSVs")
     parser.add_argument("--check", action="store_true",
                         help="turn conservation assertions into hard failures")
-    for key, kind in _PARSERS.items():
+    for key in _PARSERS:
         flag = "--" + key.replace("_", "-")
         parser.add_argument(flag, dest=f"cfg_{key}", default=None, metavar="V",
                             help=f"override config key '{key}'")

@@ -39,6 +39,17 @@ def internal_mass_check(asm, stage_values, weights, u0_mass):
     return value, value <= u0_mass * (1.0 + INTERNAL_MASS_SLACK)
 
 
+def _pairwise_orders(params, errors):
+    """log(e_{i-1}/e_i) / log(p_{i-1}/p_i) for i >= 1; NaN unless both errors
+    are finite and positive and the two parameters differ."""
+    valid = np.isfinite(errors) & (errors > 0)
+    out = np.full(max(len(errors) - 1, 0), np.nan)
+    for i in range(1, len(errors)):
+        if valid[i - 1] and valid[i] and params[i - 1] != params[i]:
+            out[i - 1] = np.log(errors[i - 1] / errors[i]) / np.log(params[i - 1] / params[i])
+    return out
+
+
 def eoc(errors, params):
     """Empirical orders log(e_{i-1}/e_i) / log(p_{i-1}/p_i); NaN where undefined."""
     errors = np.asarray(errors, dtype=float)
@@ -48,11 +59,7 @@ def eoc(errors, params):
     d = np.diff(params)
     if not (np.all(d > 0) or np.all(d < 0)):
         raise ConfigurationError("eoc parameters must be strictly monotone")
-    out = np.full(len(errors) - 1, np.nan)
-    for i in range(1, len(errors)):
-        if errors[i - 1] > 0 and errors[i] > 0:
-            out[i - 1] = np.log(errors[i - 1] / errors[i]) / np.log(params[i - 1] / params[i])
-    return out
+    return _pairwise_orders(params, errors)
 
 
 @dataclass
@@ -78,12 +85,8 @@ class ConvergenceTable:
     def from_errors(cls, params, errors):
         params = np.asarray(params, dtype=float)
         errors = np.asarray(errors, dtype=float)
-        valid = np.isfinite(errors) & (errors > 0)
         orders = np.full(len(errors), np.nan)
-        for i in range(1, len(errors)):
-            if valid[i - 1] and valid[i] and params[i - 1] != params[i]:
-                orders[i] = (np.log(errors[i - 1] / errors[i])
-                             / np.log(params[i - 1] / params[i]))
+        orders[1:] = _pairwise_orders(params, errors)
         return cls(params=params, errors=errors, orders=orders)
 
 
@@ -160,9 +163,8 @@ class TrajectoryErrorObserver:
 
     def after_slab(self, n, prev_state, new_state, report):
         tau = new_state.t - prev_state.t
-        if report.stages is not None:
-            for c, u in zip(self._nodes, report.stages.u_stages):
-                self._sample(u, prev_state.t + 0.5 * (1.0 + c) * tau)
+        for c, u in zip(self._nodes, report.stages.u_stages):
+            self._sample(u, prev_state.t + 0.5 * (1.0 + c) * tau)
         self._sample(new_state.u, new_state.t)
 
 
@@ -182,20 +184,8 @@ class InternalMassObserver:
         self._u0_mass = mass(asm, state0.u)
 
     def after_slab(self, n, prev_state, new_state, report):
-        if report.stages is None:
-            return
         value, ok = internal_mass_check(self._asm, report.stages.u_stages,
                                         self._weights, self._u0_mass)
         self.all_ok = self.all_ok and ok
         self.worst_ratio = max(self.worst_ratio, value / self._u0_mass)
 
-
-def trajectory_error(space, summary, exact, exact_grad):
-    """Max H1 error of a retained trajectory over endpoints and stage times."""
-    obs = TrajectoryErrorObserver(exact, exact_grad)
-    # replays the stored states/reports through the observer
-    asm = summary.assemblies
-    obs.start(summary.states[0], asm, summary.scheme, None)
-    for n, report in enumerate(summary.reports, start=1):
-        obs.after_slab(n, summary.states[n - 1], summary.states[n], report)
-    return obs.linf_h1

@@ -17,27 +17,16 @@ from .errors import SolverError
 RESIDUAL_TOL = 1e-11
 
 
-class Factorization:
-    """Sparse LU of the main block, reusable across right-hand sides."""
-
-    def __init__(self, lu, shape):
-        self._lu = lu
-        self.shape = shape
-
-    def solve(self, rhs):
-        return self._lu.solve(np.asarray(rhs))
-
-
 def factor(K):
-    """Sparse LU with partial pivoting; raises SolverError on singularity."""
+    """SuperLU factorization of K (its ``solve`` is reusable across
+    right-hand sides); raises SolverError on singularity."""
     K = sp.csc_matrix(K)
     if K.shape[0] != K.shape[1]:
         raise SolverError(f"main block is not square: {K.shape}")
     try:
-        lu = spla.splu(K)
+        return spla.splu(K)
     except RuntimeError as exc:  # SuperLU reports the failing pivot index
         raise SolverError(f"singular main block: {exc}") from exc
-    return Factorization(lu, K.shape)
 
 
 @dataclass

@@ -99,24 +99,16 @@ class SavState:
     t: float
 
 
-def sav_radicand(space, u, nl, nq=None):
-    """int F(|u|^2)/2 dx + c0, with nq Gauss points per element (default p+2)."""
+def r_init(space, u0, nl, nq=None):
+    """Initial auxiliary scalar r0 = sqrt(int F(|u0|^2)/2 dx + c0), with nq
+    Gauss points per element (default p+2); the same functional is the
+    denominator of g(u)."""
     nq = space.degree + 2 if nq is None else nq
-    integral = integrate_density(space, u, lambda uu, du, x: nl.F(np.abs(uu) ** 2), nq)
-    return 0.5 * integral + nl.c0
-
-
-def g_scalar_denominator(space, u, nl, nq=None):
-    """sqrt(int F(|u|^2)/2 dx + c0); the denominator of g(u)."""
-    radicand = sav_radicand(space, u, nl, nq)
+    integral = integrate_density(space, u0, lambda uu, du, x: nl.F(np.abs(uu) ** 2), nq)
+    radicand = 0.5 * integral + nl.c0
     if radicand <= 0:
         raise ModelError(f"SAV radicand {radicand} is nonpositive")
     return float(np.sqrt(radicand))
-
-
-def r_init(space, u0, nl, nq=None):
-    """Initial auxiliary scalar r0 (same functional as the denominator)."""
-    return g_scalar_denominator(space, u0, nl, nq)
 
 
 def g_times_u(u_val, denom, nl):
@@ -130,7 +122,8 @@ def g_derivatives(u_val, denom, nl, clamp_counter=None):
     With s = |u|^2: g1 = (f(s) + f'(s) s) / denom and g2 = f'(s) u^2 / denom.
     For power laws with q < 3 the derivative is singular at u = 0; such
     points are clamped to zero and counted in `clamp_counter` (a list whose
-    first entry is incremented) when supplied.
+    first entry is incremented) when supplied.  Any other non-finite value
+    raises ModelError.
     """
     u_val = np.asarray(u_val, dtype=np.complex128)
     s = np.abs(u_val) ** 2
@@ -149,10 +142,7 @@ def g_derivatives(u_val, denom, nl, clamp_counter=None):
             clamp_counter[0] += int(np.count_nonzero(mask))
     bad = ~(np.isfinite(g1) & np.isfinite(g2))
     if np.any(bad):
-        g1 = np.where(bad, 0.0, g1)
-        g2 = np.where(bad, 0.0, g2)
-        if clamp_counter is not None:
-            clamp_counter[0] += int(np.count_nonzero(bad))
+        raise ModelError(f"g derivatives are not finite at {int(np.count_nonzero(bad))} points")
     if u_val.ndim == 0:
         return complex(g1), complex(g2)
     return g1, g2

@@ -34,7 +34,6 @@ class StepperConfig:
     k: int
     newton_tol: float = 1e-10
     max_newton_iters: int = 25
-    report_stages: bool = True
 
     def __post_init__(self):
         if self.tau == 0:
@@ -74,17 +73,14 @@ class SlabUnknowns:
     u_stages: np.ndarray   # (k, ndof) complex
     r_stages: np.ndarray   # (k,) real
 
-    def copy(self):
-        return SlabUnknowns(self.u_stages.copy(), self.r_stages.copy())
-
 
 @dataclass
 class StepReport:
     iterations: int
     increment_history: list
     residual_final: float
+    stages: SlabUnknowns
     warnings: list = field(default_factory=list)
-    stages: SlabUnknowns = None
 
 
 @dataclass
@@ -106,14 +102,20 @@ def _stage_element_values(asm, u_stages):
     return local @ asm.phi.T
 
 
+def _linear_residual(state, u_stages, asm, scheme, tau):
+    """Stage time derivatives du (k, ndof) and the linear residual i M du + A U."""
+    nodal_u = np.vstack([state.u[None, :], u_stages])
+    du = (2.0 / tau) * (scheme.diff_matrix @ nodal_u)
+    return du, (1j * (asm.mass @ du.T) + asm.stiff @ u_stages.T).T
+
+
 def _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian):
     """All per-stage quantities for the residual and (optionally) the Jacobian."""
     space = asm.space
     h = space.mesh.h
     k = len(unknowns.r_stages)
-    nodal_u = np.vstack([state.u[None, :], unknowns.u_stages])
+    du, lin = _linear_residual(state, unknowns.u_stages, asm, scheme, tau)
     nodal_r = np.concatenate([[state.r], unknowns.r_stages])
-    du = (2.0 / tau) * (scheme.diff_matrix @ nodal_u)   # (k, ndof)
     dr = (2.0 / tau) * (scheme.diff_matrix @ nodal_r)   # (k,)
 
     u_q = _stage_element_values(asm, unknowns.u_stages)
@@ -129,7 +131,7 @@ def _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian):
     loads = np.einsum("kmq,q,ql->kml", g_q * u_q, wh, asm.phi)
     N = np.stack([scatter_vector(space, loads[j]) for j in range(k)])
 
-    data = {"du": du, "dr": dr, "denoms": denoms, "N": N}
+    data = {"du": du, "lin": lin, "dr": dr, "denoms": denoms, "N": N}
     if need_jacobian:
         clamp = [0]
         G1, X2, Y2 = [], [], []
@@ -147,13 +149,12 @@ def _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian):
 def residual(state, unknowns, asm, scheme, nl, tau):
     """Collocation residual (res_u: (k, ndof) complex, res_r: (k,) real)."""
     data = _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian=False)
-    return _residual_from_data(unknowns, asm, data)
+    return _residual_from_data(unknowns, data)
 
 
-def _residual_from_data(unknowns, asm, data):
+def _residual_from_data(unknowns, data):
     du, dr, N = data["du"], data["dr"], data["N"]
-    res_u = (1j * (asm.mass @ du.T) + asm.stiff @ unknowns.u_stages.T).T \
-        - unknowns.r_stages[:, None] * N
+    res_u = data["lin"] - unknowns.r_stages[:, None] * N
     res_r = dr - 0.5 * np.real(np.einsum("ki,ki->k", N, du.conj()))
     return res_u, res_r
 
@@ -164,12 +165,13 @@ def _residual_norm(res_u, res_r):
 
 def _real_parts(vectors):
     """Stack (k, n) complex stage vectors as [Re_1, Im_1, Re_2, Im_2, ...]."""
-    k, n = vectors.shape
-    out = np.empty(2 * k * n)
-    for j in range(k):
-        out[2 * j * n:(2 * j + 1) * n] = vectors[j].real
-        out[(2 * j + 1) * n:(2 * j + 2) * n] = vectors[j].imag
-    return out
+    return np.stack([vectors.real, vectors.imag], axis=1).reshape(-1)
+
+
+def _complex_parts(x, k):
+    """Inverse of _real_parts: (k, n) complex stage vectors from 2kn reals."""
+    parts = x.reshape(k, 2, -1)
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def _assemble_newton_system(state, unknowns, asm, scheme, nl, tau, data):
@@ -197,21 +199,22 @@ def _assemble_newton_system(state, unknowns, asm, scheme, nl, tau, data):
             grid[2 * j + 1][2 * m] = bottom_left
     K = sp.bmat(grid, format="csc")
 
-    B = np.zeros((2 * k * n, k))
-    for m in range(k):
-        B[2 * m * n:(2 * m + 1) * n, m] = -N[m].real
-        B[(2 * m + 1) * n:(2 * m + 2) * n, m] = -N[m].imag
+    # B[:, m] and row j of C index the unknowns as (stage, re/im, dof)
+    N_parts = _real_parts(N).reshape(k, 2, n)
+    stages = np.arange(k)
+    B = np.zeros((k, 2, n, k))
+    B[stages, :, :, stages] = -N_parts
+    B = B.reshape(2 * k * n, k)
 
-    C = np.zeros((k, 2 * k * n))
+    C = np.zeros((k, k, 2, n))
+    C += (-0.5 * alpha)[:, :, None, None] * N_parts[:, None]
     for j in range(k):
-        for m in range(k):
-            C[j, 2 * m * n:(2 * m + 1) * n] += -0.5 * alpha[j, m] * N[j].real
-            C[j, (2 * m + 1) * n:(2 * m + 2) * n] += -0.5 * alpha[j, m] * N[j].imag
         re_du, im_du = du[j].real, du[j].imag
-        C[j, 2 * j * n:(2 * j + 1) * n] += -0.5 * (G1[j] @ re_du + X2[j] @ re_du + Y2[j] @ im_du)
-        C[j, (2 * j + 1) * n:(2 * j + 2) * n] += -0.5 * (G1[j] @ im_du + Y2[j] @ re_du - X2[j] @ im_du)
+        C[j, j, 0] += -0.5 * (G1[j] @ re_du + X2[j] @ re_du + Y2[j] @ im_du)
+        C[j, j, 1] += -0.5 * (G1[j] @ im_du + Y2[j] @ re_du - X2[j] @ im_du)
+    C = C.reshape(k, 2 * k * n)
 
-    res_u, res_r = _residual_from_data(unknowns, asm, data)
+    res_u, res_r = _residual_from_data(unknowns, data)
     return BorderedSystem(K=K, B=B, C=C, Dmat=alpha.copy(),
                           rhs_main=-_real_parts(res_u), rhs_border=-res_r), (res_u, res_r)
 
@@ -228,12 +231,7 @@ def newton_step(state, unknowns, asm, scheme, nl, tau):
     data = _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian=True)
     system, _ = _assemble_newton_system(state, unknowns, asm, scheme, nl, tau, data)
     sol = solve_bordered(system)
-    n = asm.space.num_dofs
-    k = len(unknowns.r_stages)
-    delta_u = np.empty((k, n), dtype=np.complex128)
-    for m in range(k):
-        delta_u[m] = (sol.x_main[2 * m * n:(2 * m + 1) * n]
-                      + 1j * sol.x_main[(2 * m + 1) * n:(2 * m + 2) * n])
+    delta_u = _complex_parts(sol.x_main, len(unknowns.r_stages))
     updated = SlabUnknowns(unknowns.u_stages + delta_u, unknowns.r_stages + sol.x_border)
     inc = _increment_norm(asm, delta_u, sol.x_border)
     if not np.isfinite(inc):
@@ -253,17 +251,13 @@ def _advance_linear(state, cfg, asm, scheme):
     K = sp.bmat(grid, format="csc")
 
     unknowns = SlabUnknowns(np.tile(state.u, (k, 1)), np.full(k, state.r))
-    du = (2.0 / tau) * (scheme.diff_matrix @ np.vstack([state.u[None, :],
-                                                        unknowns.u_stages]))
-    res_u = (1j * (asm.mass @ du.T) + asm.stiff @ unknowns.u_stages.T).T
+    _, res_u = _linear_residual(state, unknowns.u_stages, asm, scheme, tau)
     delta = factor(K).solve(-res_u.reshape(-1))
     delta_u = delta.reshape(k, n)
     unknowns = SlabUnknowns(unknowns.u_stages + delta_u, unknowns.r_stages)
     inc = _increment_norm(asm, delta_u, np.zeros(k))
 
-    du = (2.0 / tau) * (scheme.diff_matrix @ np.vstack([state.u[None, :],
-                                                        unknowns.u_stages]))
-    res_u = (1j * (asm.mass @ du.T) + asm.stiff @ unknowns.u_stages.T).T
+    _, res_u = _linear_residual(state, unknowns.u_stages, asm, scheme, tau)
     return unknowns, [inc], _residual_norm(res_u, np.zeros(k)), []
 
 
@@ -304,8 +298,7 @@ def advance(state, cfg, asm, scheme, nl):
     r_end = float(e[0] * state.r + e[1:] @ unknowns.r_stages)
     new_state = SavState(u=u_end, r=r_end, t=state.t + tau)
     report = StepReport(iterations=len(history), increment_history=history,
-                        residual_final=res_final, warnings=warnings,
-                        stages=unknowns if cfg.report_stages else None)
+                        residual_final=res_final, stages=unknowns, warnings=warnings)
     return new_state, report
 
 

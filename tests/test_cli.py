@@ -182,6 +182,13 @@ def test_main_exit_codes(tmp_path):
     assert (out / "timeseries.csv").exists()
 
 
+def test_non_integer_thread_count_is_usage_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("SAV_NLS_THREADS", "two")
+    cfg_path = _write(tmp_path, SWEEP)
+    assert main(["sweep-time", "--config", cfg_path,
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+
+
 def test_sweep_requires_list(tmp_path):
     cfg = parse_config(_write(tmp_path, TINY_RUN))
     with pytest.raises(UsageError, match="tau_list"):

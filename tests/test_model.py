@@ -3,8 +3,8 @@ import pytest
 
 from sav_nls.errors import ConfigurationError, ModelError
 from sav_nls.fem import PERIODIC, build_space, interpolate
-from sav_nls.model import (custom_nonlinearity, g_derivatives,
-                           g_scalar_denominator, g_times_u, power_law, r_init)
+from sav_nls.model import (custom_nonlinearity, g_derivatives, g_times_u,
+                           power_law, r_init)
 
 
 def sech(x):
@@ -62,8 +62,8 @@ def test_denominator_phase_invariance():
     space = build_space(-5.0, 5.0, 20, 2, PERIODIC)
     nl = power_law(2.0, 3.0, c0=1.0)
     u = interpolate(space, lambda x: sech(x) * (1.0 + 0.5j))
-    d1 = g_scalar_denominator(space, u, nl)
-    d2 = g_scalar_denominator(space, u * np.exp(0.7j), nl)
+    d1 = r_init(space, u, nl)
+    d2 = r_init(space, u * np.exp(0.7j), nl)
     np.testing.assert_allclose(d1, d2, rtol=1e-13)
 
 
@@ -129,3 +129,10 @@ def test_g_derivatives_clamps_singular_origin():
     assert g1[0] == 0.0 and g2[0] == 0.0
     assert counter[0] == 1
     assert g1[1] != 0.0
+
+
+def test_g_derivatives_non_finite_raises():
+    nl = custom_nonlinearity(f=lambda s: 2 * s, F=lambda s: s ** 2,
+                             fp=lambda s: np.inf + 0 * s)
+    with pytest.raises(ModelError, match="not finite at 2 points"):
+        g_derivatives(np.array([0.5 + 0j, 1.0 + 0j]), 1.0, nl, clamp_counter=[0])

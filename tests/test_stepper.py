@@ -4,10 +4,12 @@ import pytest
 from sav_nls.collocation import SlabPolynomial, collocation_scheme, temporal_l2_project
 from sav_nls.errors import ConfigurationError, StepError
 from sav_nls.fem import DIRICHLET, PERIODIC, build_space, interpolate
-from sav_nls.model import SavState, power_law, r_init
+from sav_nls.model import SavState, custom_nonlinearity, power_law, r_init
 from sav_nls.problems import soliton
-from sav_nls.stepper import (Assemblies, SlabUnknowns, StepperConfig, advance,
-                             integrate, newton_step, num_slabs, residual)
+from sav_nls.stepper import (Assemblies, SlabUnknowns, StepperConfig,
+                             _assemble_newton_system, _complex_parts,
+                             _real_parts, _stage_data, advance, integrate,
+                             newton_step, num_slabs, residual)
 
 
 def _zeros_state(space, r):
@@ -256,3 +258,74 @@ def test_integrate_reports_failing_slab():
         integrate(prob.u0, cfg, space, nl, T=1.0)
     assert err.value.failed_slab == 1
     assert "slab 1" in str(err.value)
+
+
+def test_integrate_non_finite_g_derivatives_is_step_error():
+    prob = soliton()
+    nl = custom_nonlinearity(f=lambda s: 2 * s, F=lambda s: s ** 2,
+                             fp=lambda s: np.inf + 0 * s)
+    space = build_space(prob.a, prob.b, 30, 1, PERIODIC)
+    with pytest.raises(StepError, match="not finite") as err:
+        integrate(prob.u0, StepperConfig(tau=0.1, k=2), space, nl, T=0.2)
+    assert err.value.failed_slab == 1
+
+
+def _loop_layout_reference(N, du, G1, X2, Y2, alpha, k, n):
+    """Border blocks B, C written out stage by stage, re/im block by block."""
+    B = np.zeros((2 * k * n, k))
+    for m in range(k):
+        B[2 * m * n:(2 * m + 1) * n, m] = -N[m].real
+        B[(2 * m + 1) * n:(2 * m + 2) * n, m] = -N[m].imag
+    C = np.zeros((k, 2 * k * n))
+    for j in range(k):
+        for m in range(k):
+            C[j, 2 * m * n:(2 * m + 1) * n] += -0.5 * alpha[j, m] * N[j].real
+            C[j, (2 * m + 1) * n:(2 * m + 2) * n] += -0.5 * alpha[j, m] * N[j].imag
+        re_du, im_du = du[j].real, du[j].imag
+        C[j, 2 * j * n:(2 * j + 1) * n] += -0.5 * (G1[j] @ re_du + X2[j] @ re_du + Y2[j] @ im_du)
+        C[j, (2 * j + 1) * n:(2 * j + 2) * n] += -0.5 * (G1[j] @ im_du + Y2[j] @ re_du - X2[j] @ im_du)
+    return B, C
+
+
+def _loop_real_parts(vectors):
+    k, n = vectors.shape
+    out = np.empty(2 * k * n)
+    for j in range(k):
+        out[2 * j * n:(2 * j + 1) * n] = vectors[j].real
+        out[(2 * j + 1) * n:(2 * j + 2) * n] = vectors[j].imag
+    return out
+
+
+def _loop_complex_parts(x, k, n):
+    out = np.empty((k, n), dtype=np.complex128)
+    for m in range(k):
+        out[m] = x[2 * m * n:(2 * m + 1) * n] + 1j * x[(2 * m + 1) * n:(2 * m + 2) * n]
+    return out
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_real_form_layout_matches_blockwise_loops(k, bc):
+    space = build_space(-3.0, 3.0, 7, 2, bc)
+    asm = Assemblies.build(space)
+    nl = power_law(2.0, 3.0, c0=1.0)
+    tau = 0.17
+    scheme = collocation_scheme(k)
+    n = space.num_dofs
+    rng = np.random.default_rng(10 * k + (bc == DIRICHLET))
+    state = SavState(u=rng.standard_normal(n) + 1j * rng.standard_normal(n), r=1.3, t=0.0)
+    unk = SlabUnknowns(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)),
+                       1.0 + 0.2 * rng.standard_normal(k))
+    data = _stage_data(state, unk, asm, scheme, nl, tau, need_jacobian=True)
+    system, (res_u, _) = _assemble_newton_system(state, unk, asm, scheme, nl, tau, data)
+    alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
+    B, C = _loop_layout_reference(data["N"], data["du"], data["G1"], data["X2"],
+                                  data["Y2"], alpha, k, n)
+    assert np.array_equal(system.B, B)
+    assert np.array_equal(system.C, C)
+    assert np.array_equal(system.rhs_main, -_loop_real_parts(res_u))
+    v = unk.u_stages
+    assert np.array_equal(_real_parts(v), _loop_real_parts(v))
+    x = _loop_real_parts(v)
+    assert np.array_equal(_complex_parts(_real_parts(v), k), _loop_complex_parts(x, k, n))
+    assert np.array_equal(_complex_parts(x, k), v)
