@@ -97,21 +97,39 @@ def basis_tables(space, nq):
     return pts, wts, phi, dphi
 
 
-def scatter_matrix(space, local):
-    """Assemble local (p+1)x(p+1) element matrices into a global CSR.
+@dataclass(frozen=True)
+class MatrixPattern:
+    """Canonical CSR sparsity of the matrices assembled on one space (each row has
+    its diagonal, so it fixes the shape); slots[e, l, m] is the position in the data
+    of local entry (l, m) of element e, or nnz for an entry on a constrained node."""
 
-    `local` is a single matrix shared by all elements or a stacked
-    (num_elements, p+1, p+1) array.
-    """
-    dm = space.dof_map
-    M, nloc = dm.shape
-    rows = np.broadcast_to(dm[:, :, None], (M, nloc, nloc)).ravel()
-    cols = np.broadcast_to(dm[:, None, :], (M, nloc, nloc)).ravel()
-    data = np.broadcast_to(local, (M, nloc, nloc)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    mat = sp.coo_matrix((data[keep], (rows[keep], cols[keep])),
-                        shape=(space.num_dofs, space.num_dofs))
-    return mat.tocsr()
+    indptr: np.ndarray   # int32
+    indices: np.ndarray  # int32
+    slots: np.ndarray    # (num_elements, p+1, p+1) int32
+
+
+def matrix_pattern(space):
+    """The MatrixPattern of `space`: its sorted distinct (row, col) dof pairs."""
+    dm, n = space.dof_map, space.num_dofs
+    keys = np.where((dm[:, :, None] >= 0) & (dm[:, None, :] >= 0),
+                    dm[:, :, None] * n + dm[:, None, :], n * n)
+    flat = np.sort(keys, axis=None, kind="stable")   # element by element: nearly sorted
+    kept = flat[np.r_[True, flat[1:] != flat[:-1]] & (flat < n * n)]
+    return MatrixPattern(indices=(kept % n).astype(np.int32),
+                         indptr=np.searchsorted(kept, np.arange(n + 1) * n).astype(np.int32),
+                         slots=np.searchsorted(kept, keys).astype(np.int32))
+
+
+def scatter_matrix(pattern, local):
+    """Assemble real local (p+1)x(p+1) element matrices into a CSR on `pattern`.
+
+    `local` is one matrix shared by all elements or a stacked (num_elements, p+1,
+    p+1) array.  No global entry gets more than two element terms (num_elements
+    >= 2), so their sum has the same bits in any order."""
+    nnz = len(pattern.indices)
+    data = np.bincount(pattern.slots.ravel(), minlength=nnz + 1,
+                       weights=np.broadcast_to(local, pattern.slots.shape).ravel())
+    return sp.csr_matrix((data[:nnz], pattern.indices, pattern.indptr))
 
 
 def scatter_vector(space, local_loads):
@@ -126,20 +144,22 @@ def scatter_vector(space, local_loads):
     return out
 
 
-def assemble_mass(space):
+def assemble_mass(space, pattern=None):
     """Mass operator M_ij = int phi_i phi_j dx (Hermitian positive definite)."""
     h = space.mesh.h
     _, wts, phi, _ = basis_tables(space, space.degree + 1)
     local = h * np.einsum("q,ql,qm->lm", wts, phi, phi)
-    return scatter_matrix(space, local).astype(np.complex128)
+    pattern = matrix_pattern(space) if pattern is None else pattern
+    return scatter_matrix(pattern, local).astype(np.complex128)
 
 
-def assemble_stiffness(space):
+def assemble_stiffness(space, pattern=None):
     """Stiffness operator A_ij = int phi_i' phi_j' dx (Hermitian PSD)."""
     h = space.mesh.h
     _, wts, _, dphi = basis_tables(space, space.degree + 1)
     local = (1.0 / h) * np.einsum("q,ql,qm->lm", wts, dphi, dphi)
-    return scatter_matrix(space, local).astype(np.complex128)
+    pattern = matrix_pattern(space) if pattern is None else pattern
+    return scatter_matrix(pattern, local).astype(np.complex128)
 
 
 def interpolate(space, fn):

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from .collocation import collocation_scheme
 from .errors import ConfigurationError, ModelError, SolverError, StepError
 from .fem import (assemble_mass, assemble_stiffness, basis_tables, interpolate,
-                  scatter_matrix, scatter_vector)
+                  matrix_pattern, scatter_matrix, scatter_vector)
 from .linsolve import BorderedSystem, factor, solve_bordered
 from .model import SavState, g_derivatives, r_init
 
@@ -40,13 +40,16 @@ class StepperConfig:
             raise ConfigurationError("tau must be nonzero")
         if self.newton_tol <= 0:
             raise ConfigurationError(f"newton_tol={self.newton_tol} must be positive")
+        if self.max_newton_iters < 1:
+            raise ConfigurationError(f"max_newton_iters={self.max_newton_iters} must be >= 1")
 
 
 @dataclass(frozen=True)
 class Assemblies:
-    """Space plus the operators and quadrature tables reused every slab."""
+    """Space plus the operators, quadrature tables and main blocks reused every slab."""
 
     space: object
+    pattern: object        # fem.MatrixPattern of every operator below
     mass: sp.csr_matrix
     stiff: sp.csr_matrix
     mass_real: sp.csr_matrix
@@ -54,14 +57,16 @@ class Assemblies:
     nq: int
     quad_wts: np.ndarray   # reference weights on [0, 1]
     phi: np.ndarray        # (nq, p+1) basis values at the quadrature points
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, space, nq=None):
         nq = space.degree + 2 if nq is None else nq
         _, wts, phi, _ = basis_tables(space, nq)
-        mass = assemble_mass(space)
-        stiff = assemble_stiffness(space)
-        return cls(space=space, mass=mass, stiff=stiff,
+        pattern = matrix_pattern(space)
+        mass = assemble_mass(space, pattern)
+        stiff = assemble_stiffness(space, pattern)
+        return cls(space=space, pattern=pattern, mass=mass, stiff=stiff,
                    mass_real=mass.real.tocsr(), stiff_real=stiff.real.tocsr(),
                    nq=nq, quad_wts=wts, phi=phi)
 
@@ -139,9 +144,9 @@ def _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian):
             g1_q, g2_q = g_derivatives(u_q[j], denoms[j], nl, clamp_counter=clamp)
             loc1 = np.einsum("mq,q,ql,qn->mln", g1_q.real, wh, asm.phi, asm.phi)
             loc2 = np.einsum("mq,q,ql,qn->mln", g2_q, wh, asm.phi, asm.phi)
-            G1.append(scatter_matrix(space, loc1))
-            X2.append(scatter_matrix(space, loc2.real))
-            Y2.append(scatter_matrix(space, loc2.imag))
+            G1.append(scatter_matrix(asm.pattern, loc1))
+            X2.append(scatter_matrix(asm.pattern, loc2.real))
+            Y2.append(scatter_matrix(asm.pattern, loc2.imag))
         data.update(G1=G1, X2=X2, Y2=Y2, clamped=clamp[0])
     return data
 
@@ -174,32 +179,39 @@ def _complex_parts(x, k):
     return parts[:, 0] + 1j * parts[:, 1]
 
 
+def _real_form_layout(pattern, k):
+    """CSC (indptr, indices) of the 2kn x 2kn real-form main block as sp.bmat lays
+    it out, and slots[row, col]: where in K.data the entries of nonzero block (row, col)
+    go, in MatrixPattern order.  Found by sending numbered entries through sp.bmat."""
+    nnz = len(pattern.indices)
+    blocks = [(2 * j + s, 2 * m + t) for j in range(k) for m in range(k)
+              for s in (0, 1) for t in (0, 1) if j == m or s != t]
+    grid = [[None] * (2 * k) for _ in range(2 * k)]
+    for b, (row, col) in enumerate(blocks):
+        grid[row][col] = sp.csr_matrix((np.arange(b * nnz, (b + 1) * nnz, dtype=float),
+                                        pattern.indices, pattern.indptr))
+    labels = sp.bmat(grid, format="csc")
+    where = np.argsort(labels.data).astype(np.int32)   # where[label] = position in K.data
+    return labels.indptr, labels.indices, {blk: where[b * nnz:(b + 1) * nnz]
+                                           for b, blk in enumerate(blocks)}
+
+
 def _assemble_newton_system(state, unknowns, asm, scheme, nl, tau, data):
     """Bordered real-form Jacobian and right-hand side at the current iterate."""
     n = asm.space.num_dofs
     k = len(unknowns.r_stages)
     R = unknowns.r_stages
-    Mr, Ar = asm.mass_real, asm.stiff_real
+    Md, Ad = asm.mass_real.data, asm.stiff_real.data
     alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]     # (k, k), stage coupling
     N, du = data["N"], data["du"]
     G1, X2, Y2 = data["G1"], data["X2"], data["Y2"]
 
-    grid = [[None] * (2 * k) for _ in range(2 * k)]
-    for j in range(k):
-        for m in range(k):
-            a = alpha[j, m]
-            top_right = -a * Mr
-            bottom_left = a * Mr
-            if j == m:
-                grid[2 * j][2 * m] = Ar - R[j] * (G1[j] + X2[j])
-                grid[2 * j + 1][2 * m + 1] = Ar - R[j] * (G1[j] - X2[j])
-                top_right = top_right - R[j] * Y2[j]
-                bottom_left = bottom_left - R[j] * Y2[j]
-            grid[2 * j][2 * m + 1] = top_right
-            grid[2 * j + 1][2 * m] = bottom_left
-    K = sp.bmat(grid, format="csc")
+    if ("real_form", k) not in asm.cache:
+        asm.cache["real_form", k] = _real_form_layout(asm.pattern, k)
+    indptr, indices, slots = asm.cache["real_form", k]
+    values = np.empty(len(indices))
 
-    # B[:, m] and row j of C index the unknowns as (stage, re/im, dof)
+    # B[:, m], row j of C and block rows 2j, 2j+1 of K index unknowns as (stage, re/im, dof)
     N_parts = _real_parts(N).reshape(k, 2, n)
     stages = np.arange(k)
     B = np.zeros((k, 2, n, k))
@@ -212,7 +224,14 @@ def _assemble_newton_system(state, unknowns, asm, scheme, nl, tau, data):
         re_du, im_du = du[j].real, du[j].imag
         C[j, j, 0] += -0.5 * (G1[j] @ re_du + X2[j] @ re_du + Y2[j] @ im_du)
         C[j, j, 1] += -0.5 * (G1[j] @ im_du + Y2[j] @ re_du - X2[j] @ im_du)
+        values[slots[2 * j, 2 * j]] = Ad - R[j] * (G1[j].data + X2[j].data)
+        values[slots[2 * j + 1, 2 * j + 1]] = Ad - R[j] * (G1[j].data - X2[j].data)
+        for m in range(k):
+            coupling = R[j] * Y2[j].data if j == m else 0.0   # x - 0.0 is x, bit for bit
+            values[slots[2 * j, 2 * m + 1]] = -alpha[j, m] * Md - coupling
+            values[slots[2 * j + 1, 2 * m]] = alpha[j, m] * Md - coupling
     C = C.reshape(k, 2 * k * n)
+    K = sp.csc_matrix((values, indices, indptr), shape=(2 * k * n, 2 * k * n))
 
     res_u, res_r = _residual_from_data(unknowns, data)
     return BorderedSystem(K=K, B=B, C=C, Dmat=alpha.copy(),
@@ -244,15 +263,16 @@ def _advance_linear(state, cfg, asm, scheme):
     n = asm.space.num_dofs
     k = cfg.k
     tau = cfg.tau
-    alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
-    grid = [[1j * alpha[j, m] * asm.mass + asm.stiff if j == m
-             else 1j * alpha[j, m] * asm.mass
-             for m in range(k)] for j in range(k)]
-    K = sp.bmat(grid, format="csc")
+    if ("linear", tau, k) not in asm.cache:
+        alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
+        grid = [[1j * alpha[j, m] * asm.mass + asm.stiff if j == m
+                 else 1j * alpha[j, m] * asm.mass
+                 for m in range(k)] for j in range(k)]
+        asm.cache["linear", tau, k] = sp.bmat(grid, format="csc")
 
     unknowns = SlabUnknowns(np.tile(state.u, (k, 1)), np.full(k, state.r))
     _, res_u = _linear_residual(state, unknowns.u_stages, asm, scheme, tau)
-    delta = factor(K).solve(-res_u.reshape(-1))
+    delta = factor(asm.cache["linear", tau, k]).solve(-res_u.reshape(-1))
     delta_u = delta.reshape(k, n)
     unknowns = SlabUnknowns(unknowns.u_stages + delta_u, unknowns.r_stages)
     inc = _increment_norm(asm, delta_u, np.zeros(k))

@@ -189,6 +189,13 @@ def test_non_integer_thread_count_is_usage_error(tmp_path, monkeypatch):
                  "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
 
 
+def test_zero_newton_iterations_is_usage_error(tmp_path, capsys):
+    cfg_path = _write(tmp_path, TINY_RUN)
+    assert main(["run", "--config", cfg_path, "--max-newton-iters", "0",
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "max_newton_iters=0" in capsys.readouterr().err
+
+
 def test_sweep_requires_list(tmp_path):
     cfg = parse_config(_write(tmp_path, TINY_RUN))
     with pytest.raises(UsageError, match="tau_list"):

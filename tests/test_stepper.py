@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from sav_nls import fem, stepper
 from sav_nls.collocation import SlabPolynomial, collocation_scheme, temporal_l2_project
 from sav_nls.errors import ConfigurationError, StepError
 from sav_nls.fem import DIRICHLET, PERIODIC, build_space, interpolate
@@ -21,6 +23,8 @@ def test_config_validation():
         StepperConfig(tau=0.0, k=2)
     with pytest.raises(ConfigurationError):
         StepperConfig(tau=0.1, k=2, newton_tol=0.0)
+    with pytest.raises(ConfigurationError, match="max_newton_iters"):
+        StepperConfig(tau=0.1, k=2, max_newton_iters=0)
     with pytest.raises(ConfigurationError):
         num_slabs(1.0, 0.3)
     assert num_slabs(1.0, 0.05) == 20
@@ -186,6 +190,30 @@ def test_linear_time_reversibility(k):
     assert np.linalg.norm(back.u - u0) <= 1e-10 * np.linalg.norm(u0)
 
 
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_nonlinear_time_reversibility_and_phase_invariance(k, bc):
+    # Gauss collocation is symmetric and the SAV system is invariant under a
+    # global phase: both hold to roundoff for kappa != 0, not only at kappa = 0
+    prob = soliton()
+    nl = power_law(prob.kappa, prob.q, c0=1.0)
+    space = build_space(prob.a, prob.b, 60, 2, bc)
+    asm = Assemblies.build(space)
+    scheme = collocation_scheme(k)
+    u0 = interpolate(space, prob.u0)
+    state = SavState(u=u0, r=r_init(space, u0, nl, asm.nq), t=0.0)
+    fwd, _ = advance(state, StepperConfig(tau=0.1, k=k), asm, scheme, nl)
+    back, _ = advance(fwd, StepperConfig(tau=-0.1, k=k), asm, scheme, nl)
+    assert np.linalg.norm(back.u - u0) <= 1e-12 * np.linalg.norm(u0)
+    assert abs(back.r - state.r) <= 1e-12 * abs(state.r)
+
+    phase = np.exp(0.7j)
+    rotated, _ = advance(SavState(u=phase * u0, r=state.r, t=0.0), StepperConfig(tau=0.1, k=k),
+                         asm, scheme, nl)
+    assert np.linalg.norm(rotated.u - phase * fwd.u) <= 1e-12 * np.linalg.norm(fwd.u)
+    assert abs(rotated.r - fwd.r) <= 1e-12 * abs(fwd.r)
+
+
 def test_integral_reformulation_identity():
     # the converged slab satisfies the integral form of the stage equations
     # against arbitrary space-time test functions
@@ -329,3 +357,88 @@ def test_real_form_layout_matches_blockwise_loops(k, bc):
     x = _loop_real_parts(v)
     assert np.array_equal(_complex_parts(_real_parts(v), k), _loop_complex_parts(x, k, n))
     assert np.array_equal(_complex_parts(x, k), v)
+
+
+def _coo_scatter_reference(space, local):
+    """Global CSR through COO -> CSR conversion, as assembled before MatrixPattern."""
+    dm = space.dof_map
+    M, nloc = dm.shape
+    rows = np.broadcast_to(dm[:, :, None], (M, nloc, nloc)).ravel()
+    cols = np.broadcast_to(dm[:, None, :], (M, nloc, nloc)).ravel()
+    data = np.broadcast_to(local, (M, nloc, nloc)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    mat = sp.coo_matrix((data[keep], (rows[keep], cols[keep])),
+                        shape=(space.num_dofs, space.num_dofs))
+    return mat.tocsr()
+
+
+def _bmat_reference(Mr, Ar, G1, X2, Y2, R, alpha, k):
+    """Real-form main block built from sparse block operations and sp.bmat."""
+    grid = [[None] * (2 * k) for _ in range(2 * k)]
+    for j in range(k):
+        for m in range(k):
+            a = alpha[j, m]
+            top_right = -a * Mr
+            bottom_left = a * Mr
+            if j == m:
+                grid[2 * j][2 * m] = Ar - R[j] * (G1[j] + X2[j])
+                grid[2 * j + 1][2 * m + 1] = Ar - R[j] * (G1[j] - X2[j])
+                top_right = top_right - R[j] * Y2[j]
+                bottom_left = bottom_left - R[j] * Y2[j]
+            grid[2 * j][2 * m + 1] = top_right
+            grid[2 * j + 1][2 * m] = bottom_left
+    return sp.bmat(grid, format="csc")
+
+
+def _assert_same_sparse(a, b):
+    assert a.format == b.format and a.shape == b.shape
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("M", [2, 5])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_fixed_layout_assembly_matches_coo_and_bmat(p, k, bc, M, monkeypatch):
+    scatter = fem.scatter_matrix
+    scattered = []   # (local, assembled) of every scatter_matrix call, in call order
+
+    def recording(pattern, local):
+        scattered.append((np.array(local), scatter(pattern, local)))
+        return scattered[-1][1]
+
+    monkeypatch.setattr(fem, "scatter_matrix", recording)
+    monkeypatch.setattr(stepper, "scatter_matrix", recording)
+    space = build_space(-3.0, 3.0, M, p, bc)
+    asm = Assemblies.build(space)
+    nl = power_law(2.0, 3.0, c0=1.0)
+    tau = 0.17
+    scheme = collocation_scheme(k)
+    n = space.num_dofs
+    rng = np.random.default_rng(100 * p + 10 * k + M + (bc == DIRICHLET))
+    state = SavState(u=rng.standard_normal(n) + 1j * rng.standard_normal(n), r=1.3, t=0.0)
+    unk = SlabUnknowns(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)),
+                       1.0 + 0.2 * rng.standard_normal(k))
+    data = _stage_data(state, unk, asm, scheme, nl, tau, need_jacobian=True)
+    system, _ = _assemble_newton_system(state, unk, asm, scheme, nl, tau, data)
+
+    assert len(scattered) == 2 + 3 * k   # mass, stiffness, then G1, X2, Y2 per stage
+    ref = [_coo_scatter_reference(space, local) for local, _ in scattered]
+    for r, (_, assembled) in zip(ref, scattered):
+        _assert_same_sparse(assembled, r)
+    mass, stiff = (r.astype(np.complex128) for r in ref[:2])
+    _assert_same_sparse(asm.mass, mass)
+    _assert_same_sparse(asm.stiff, stiff)
+    G1, X2, Y2 = ref[2::3], ref[3::3], ref[4::3]
+    for got, want in zip(data["G1"] + data["X2"] + data["Y2"], G1 + X2 + Y2):
+        _assert_same_sparse(got, want)
+
+    alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
+    K = _bmat_reference(mass.real.tocsr(), stiff.real.tocsr(), G1, X2, Y2,
+                        unk.r_stages, alpha, k)
+    _assert_same_sparse(system.K, K)
+    B, C = _loop_layout_reference(data["N"], data["du"], G1, X2, Y2, alpha, k, n)
+    assert np.array_equal(system.B, B)
+    assert np.array_equal(system.C, C)
