@@ -62,12 +62,16 @@ _REQUIRED = ("M", "p", "k", "tau", "T")
 
 
 def _parse_float(raw):
-    """Float literal, also accepting simple fractions like '1/60'."""
+    """Finite float literal, also accepting simple fractions like '1/60'."""
     raw = str(raw).strip()
     if "/" in raw:
         num, den = raw.split("/", 1)
-        return float(num) / float(den)
-    return float(raw)
+        value = float(num) / float(den)
+    else:
+        value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
 
 
 def _parser(annotation):
@@ -164,9 +168,8 @@ def build_problem(cfg):
     return prob, nl
 
 
-def _stepper_config(cfg, tau=None):
-    return StepperConfig(tau=cfg.tau if tau is None else tau, k=cfg.k,
-                         newton_tol=cfg.newton_tol,
+def _stepper_config(cfg):
+    return StepperConfig(tau=cfg.tau, k=cfg.k, newton_tol=cfg.newton_tol,
                          max_newton_iters=cfg.max_newton_iters)
 
 
@@ -249,13 +252,8 @@ def run_single(cfg, out_dir=".", check=False):
     return EXIT_OK
 
 
-def _sweep_entry(args):
+def _sweep_entry(cfg):
     """One sweep run (executed possibly in a worker process)."""
-    cfg, tau, M = args
-    if tau is not None:
-        cfg = replace(cfg, tau=tau)
-    if M is not None:
-        cfg = replace(cfg, M=M)
     prob, nl = build_problem(cfg)
     if prob.exact is None:
         raise UsageError("convergence sweeps need a problem with an exact solution")
@@ -286,41 +284,32 @@ def _run_sweep(jobs):
         return list(pool.map(_sweep_entry, jobs))
 
 
-def run_time_sweep(cfg, out_dir="."):
-    """Temporal convergence study over cfg.tau_list; writes time_convergence.csv."""
-    if not cfg.tau_list:
-        raise UsageError("sweep-time needs a nonempty tau_list")
-    for tau in cfg.tau_list:
-        num_slabs(cfg.T, tau)
-    os.makedirs(out_dir, exist_ok=True)
-    results = _run_sweep([(cfg, tau, None) for tau in cfg.tau_list])
-    errors = [r[0] for r in results]
-    table = ConvergenceTable.from_errors(cfg.tau_list, errors)
-    rows = []
-    for tau, err, order, (_, msg) in zip(table.params, table.errors, table.orders, results):
-        rows.append([str(cfg.k), _fmt(tau), _fmt(err) if not msg else f"failed: {msg}",
-                     _fmt(order)])
-    _write_csv(os.path.join(out_dir, "time_convergence.csv"),
-               ["k", "tau", "linf_h1_error", "eoc"], rows)
-    return table
+# Sweep key -> (study name, fixed-degree column, EOC parameter, swept-value cell).
+# Space EOCs are taken against h ~ 1/M, so that orders come out positive.
+_SWEEPS = {
+    "tau": ("time", "k", lambda tau: tau, _fmt),
+    "M": ("space", "p", lambda M: 1.0 / M, lambda M: str(int(M))),
+}
 
 
-def run_space_sweep(cfg, out_dir="."):
-    """Spatial convergence study over cfg.M_list; writes space_convergence.csv."""
-    if not cfg.M_list:
-        raise UsageError("sweep-space needs a nonempty M_list")
-    num_slabs(cfg.T, cfg.tau)
+def run_sweep(cfg, key, out_dir="."):
+    """Convergence study over cfg.tau_list (key "tau") or cfg.M_list (key "M");
+    writes time_convergence.csv or space_convergence.csv."""
+    study, fixed, eoc_param, cell = _SWEEPS[key]
+    values = getattr(cfg, f"{key}_list")
+    if not values:
+        raise UsageError(f"sweep-{study} needs a nonempty {key}_list")
+    runs = [replace(cfg, **{key: value}) for value in values]
+    for run in runs:
+        num_slabs(run.T, run.tau)
     os.makedirs(out_dir, exist_ok=True)
-    results = _run_sweep([(cfg, None, M) for M in cfg.M_list])
-    errors = [r[0] for r in results]
-    # EOC against the mesh size h = L/M, so orders come out positive
-    table = ConvergenceTable.from_errors([1.0 / M for M in cfg.M_list], errors)
-    rows = []
-    for M, err, order, (_, msg) in zip(cfg.M_list, table.errors, table.orders, results):
-        rows.append([str(cfg.p), str(int(M)), _fmt(err) if not msg else f"failed: {msg}",
-                     _fmt(order)])
-    _write_csv(os.path.join(out_dir, "space_convergence.csv"),
-               ["p", "M", "linf_h1_error", "eoc"], rows)
+    results = _run_sweep(runs)
+    table = ConvergenceTable.from_errors([eoc_param(v) for v in values], [r[0] for r in results])
+    rows = [[str(getattr(cfg, fixed)), cell(value), _fmt(err) if not msg else f"failed: {msg}",
+             _fmt(order)]
+            for value, err, order, (_, msg) in zip(values, table.errors, table.orders, results)]
+    _write_csv(os.path.join(out_dir, f"{study}_convergence.csv"),
+               [fixed, key, "linf_h1_error", "eoc"], rows)
     return table
 
 
@@ -346,21 +335,19 @@ def main(argv=None):
         description="Conserving SAV Gauss collocation FEM solver for the 1D "
                     "nonlinear Schrodinger equation")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (("run", "single integration with diagnostics"),
-                            ("sweep-time", "temporal convergence study"),
-                            ("sweep-space", "spatial convergence study")):
+    for name, sweep_key, help_text in (("run", None, "single integration with diagnostics"),
+                                       ("sweep-time", "tau", "temporal convergence study"),
+                                       ("sweep-space", "M", "spatial convergence study")):
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(sweep_key=sweep_key)
         _add_config_options(sp)
 
     try:
         args = parser.parse_args(argv)
         cfg = parse_config(args.config, _overrides_from_args(args))
-        if args.command == "run":
+        if args.sweep_key is None:
             return run_single(cfg, out_dir=args.out_dir, check=args.check)
-        if args.command == "sweep-time":
-            run_time_sweep(cfg, out_dir=args.out_dir)
-            return EXIT_OK
-        run_space_sweep(cfg, out_dir=args.out_dir)
+        run_sweep(cfg, args.sweep_key, out_dir=args.out_dir)
         return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -176,13 +176,13 @@ def temporal_l2_project(poly):
     return SlabPolynomial(values=values, slab=poly.slab, nodes=poly.nodes)
 
 
-def temporal_ritz_project(fn, k, slab, dfn=None, fd_step=1e-7):
+def temporal_ritz_project(fn, k, slab, dfn=None):
     """Temporal Ritz projection of `fn` onto degree-k polynomials on `slab`.
 
     Matches fn at the left endpoint and makes the time derivative of the
     projection the L2 projection of fn' onto degree k-1, via the explicit
     Legendre-coefficient formula.  fn' is `dfn` when supplied, otherwise a
-    central finite difference with step `fd_step`.  Inner integrals use a
+    central finite difference with step 1e-7.  Inner integrals use a
     (k+2)-point Gauss rule.
     """
     t0, t1 = slab
@@ -191,7 +191,7 @@ def temporal_ritz_project(fn, k, slab, dfn=None, fd_step=1e-7):
         raise ConfigurationError(f"degenerate slab [{t0}, {t1}]")
     if dfn is None:
         def dfn(t):
-            return (fn(t + fd_step) - fn(t - fd_step)) / (2.0 * fd_step)
+            return (fn(t + 1e-7) - fn(t - 1e-7)) / 2e-7
 
     quad = gauss_rule(k + 2)
     t_quad = t0 + 0.5 * tau * (1.0 + quad.nodes)

@@ -93,10 +93,10 @@ class ConvergenceTable:
 class RunRecorder:
     """Per-slab conservation/iteration records for a single integration."""
 
-    def __init__(self, exact=None, exact_grad=None, nl=None):
+    def __init__(self, exact=None, exact_grad=None):
         self.exact = exact
         self.exact_grad = exact_grad
-        self.nl = nl
+        self.nl = None
         self.records = []
         self._asm = None
         self._ref = None
@@ -117,8 +117,7 @@ class RunRecorder:
 
     def start(self, state0, asm, scheme, nl):
         self._asm = asm
-        if self.nl is None:
-            self.nl = nl
+        self.nl = nl
         self._observe_state(state0, 0)
         self._ref = self.records[0]
 
@@ -145,16 +144,14 @@ class TrajectoryErrorObserver:
         self.exact = exact
         self.exact_grad = exact_grad
         self.linf_h1 = 0.0
-        self.linf_l2 = 0.0
         self._asm = None
         self._nodes = None
 
     def _sample(self, u, t):
-        l2, h1 = error_norms(self._asm.space, u,
-                             lambda x: self.exact(x, t),
-                             lambda x: self.exact_grad(x, t))
+        _, h1 = error_norms(self._asm.space, u,
+                            lambda x: self.exact(x, t),
+                            lambda x: self.exact_grad(x, t))
         self.linf_h1 = max(self.linf_h1, h1)
-        self.linf_l2 = max(self.linf_l2, l2)
 
     def start(self, state0, asm, scheme, nl):
         self._asm = asm

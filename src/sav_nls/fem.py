@@ -172,6 +172,14 @@ def interpolate(space, fn):
     return vals
 
 
+def element_coefficients(space, v):
+    """Coefficients of the FE functions v (..., num_dofs) on every element, shape
+    (..., num_elements, p+1); a constrained node (dof -1) reads 0."""
+    v = np.asarray(v, dtype=np.complex128)
+    padded = np.concatenate([v, np.zeros(v.shape[:-1] + (1,), dtype=np.complex128)], axis=-1)
+    return padded[..., space.dof_map]
+
+
 def element_values(space, v, ref_pts):
     """Values and derivatives of the FE function on every element.
 
@@ -180,8 +188,7 @@ def element_values(space, v, ref_pts):
     """
     phi = lagrange_basis(space.ref_nodes, ref_pts)
     dphi = lagrange_basis_deriv(space.ref_nodes, ref_pts)
-    v_ext = np.concatenate([np.asarray(v, dtype=np.complex128), [0.0]])
-    local = v_ext[space.dof_map]  # -1 picks up the trailing zero
+    local = element_coefficients(space, v)
     return local @ phi.T, (local @ dphi.T) / space.mesh.h
 
 
@@ -192,11 +199,8 @@ def evaluate(space, v, x):
         raise InputError(f"evaluation point x={x} outside [{mesh.a}, {mesh.b}]")
     e = min(int((x - mesh.a) / mesh.h), mesh.num_elements - 1)
     xi = (x - mesh.a) / mesh.h - e
-    phi = lagrange_basis(space.ref_nodes, np.array([xi]))[0]
-    dphi = lagrange_basis_deriv(space.ref_nodes, np.array([xi]))[0]
-    v_ext = np.concatenate([np.asarray(v, dtype=np.complex128), [0.0]])
-    local = v_ext[space.dof_map[e]]
-    return local @ phi, (local @ dphi) / mesh.h
+    u, du = element_values(space, v, np.array([xi]))
+    return u[e, 0], du[e, 0]
 
 
 def quadrature_coords(space, ref_pts):
@@ -214,10 +218,9 @@ def integrate_density(space, v, density, nq):
     return float(space.mesh.h * np.sum(wts[None, :] * vals))
 
 
-def error_norms(space, v, exact, exact_grad, nq=None):
-    """(L2, H1) errors of the FE function against exact/exact_grad callables."""
-    nq = space.degree + 3 if nq is None else nq
-    pts, wts = reference_quadrature(nq)
+def error_norms(space, v, exact, exact_grad):
+    """(L2, H1) errors of the FE function against exact/exact_grad, on p+3 Gauss points."""
+    pts, wts = reference_quadrature(space.degree + 3)
     u, du = element_values(space, v, pts)
     x = quadrature_coords(space, pts)
     ue = np.asarray(exact(x), dtype=np.complex128)

@@ -47,14 +47,14 @@ class BorderedSolution(NamedTuple):
     residual: float
 
 
-def solve_bordered(system, factorization=None, residual_tol=RESIDUAL_TOL):
+def solve_bordered(system):
     """Solve the bordered system by block elimination with a Schur complement.
 
     Solves K W = B and K y = rhs_main, forms S = Dmat - C W, solves
     S x_border = rhs_border - C y, and back-substitutes.  The relative
-    residual of the full system is verified and returned.
+    residual of the full system is verified against RESIDUAL_TOL and returned.
     """
-    lu = factorization if factorization is not None else factor(system.K)
+    lu = factor(system.K)
     y = lu.solve(system.rhs_main)
     W = lu.solve(system.B)
     if W.ndim == 1:
@@ -70,6 +70,6 @@ def solve_bordered(system, factorization=None, residual_tol=RESIDUAL_TOL):
     r_border = system.C @ x_main + system.Dmat @ x_border - system.rhs_border
     scale = max(np.linalg.norm(system.rhs_main) + np.linalg.norm(system.rhs_border), 1e-300)
     residual = float(np.sqrt(np.linalg.norm(r_main) ** 2 + np.linalg.norm(r_border) ** 2) / scale)
-    if residual > residual_tol:
-        raise SolverError(f"bordered solve residual {residual:.3e} exceeds {residual_tol:.1e}")
+    if residual > RESIDUAL_TOL:
+        raise SolverError(f"bordered solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return BorderedSolution(x_main=x_main, x_border=x_border, residual=residual)

@@ -22,8 +22,8 @@ import scipy.sparse as sp
 
 from .collocation import collocation_scheme
 from .errors import ConfigurationError, ModelError, SolverError, StepError
-from .fem import (assemble_mass, assemble_stiffness, basis_tables, interpolate,
-                  matrix_pattern, scatter_matrix, scatter_vector)
+from .fem import (assemble_mass, assemble_stiffness, basis_tables, element_coefficients,
+                  interpolate, matrix_pattern, scatter_matrix, scatter_vector)
 from .linsolve import BorderedSystem, factor, solve_bordered
 from .model import SavState, g_derivatives, r_init
 
@@ -36,10 +36,10 @@ class StepperConfig:
     max_newton_iters: int = 25
 
     def __post_init__(self):
-        if self.tau == 0:
-            raise ConfigurationError("tau must be nonzero")
-        if self.newton_tol <= 0:
-            raise ConfigurationError(f"newton_tol={self.newton_tol} must be positive")
+        if self.tau == 0 or not np.isfinite(self.tau):
+            raise ConfigurationError(f"tau={self.tau} must be finite and nonzero")
+        if not 0 < self.newton_tol < np.inf:
+            raise ConfigurationError(f"newton_tol={self.newton_tol} must be positive and finite")
         if self.max_newton_iters < 1:
             raise ConfigurationError(f"max_newton_iters={self.max_newton_iters} must be >= 1")
 
@@ -100,11 +100,7 @@ class TrajectorySummary:
 
 def _stage_element_values(asm, u_stages):
     """Per-element quadrature values of every stage; shape (k, M, nq)."""
-    space = asm.space
-    ext = np.concatenate([u_stages, np.zeros((u_stages.shape[0], 1), dtype=np.complex128)],
-                         axis=1)
-    local = ext[:, space.dof_map]            # (k, M, p+1)
-    return local @ asm.phi.T
+    return element_coefficients(asm.space, u_stages) @ asm.phi.T
 
 
 def _linear_residual(state, u_stages, asm, scheme, tau):
@@ -196,7 +192,7 @@ def _real_form_layout(pattern, k):
                                            for b, blk in enumerate(blocks)}
 
 
-def _assemble_newton_system(state, unknowns, asm, scheme, nl, tau, data):
+def _assemble_newton_system(unknowns, asm, scheme, tau, data):
     """Bordered real-form Jacobian and right-hand side at the current iterate."""
     n = asm.space.num_dofs
     k = len(unknowns.r_stages)
@@ -235,7 +231,7 @@ def _assemble_newton_system(state, unknowns, asm, scheme, nl, tau, data):
 
     res_u, res_r = _residual_from_data(unknowns, data)
     return BorderedSystem(K=K, B=B, C=C, Dmat=alpha.copy(),
-                          rhs_main=-_real_parts(res_u), rhs_border=-res_r), (res_u, res_r)
+                          rhs_main=-_real_parts(res_u), rhs_border=-res_r)
 
 
 def _increment_norm(asm, delta_u, delta_r):
@@ -248,14 +244,13 @@ def _increment_norm(asm, delta_u, delta_r):
 def newton_step(state, unknowns, asm, scheme, nl, tau):
     """One Newton update; returns (unknowns, increment_norm, clamped_points)."""
     data = _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian=True)
-    system, _ = _assemble_newton_system(state, unknowns, asm, scheme, nl, tau, data)
-    sol = solve_bordered(system)
+    sol = solve_bordered(_assemble_newton_system(unknowns, asm, scheme, tau, data))
     delta_u = _complex_parts(sol.x_main, len(unknowns.r_stages))
     updated = SlabUnknowns(unknowns.u_stages + delta_u, unknowns.r_stages + sol.x_border)
     inc = _increment_norm(asm, delta_u, sol.x_border)
     if not np.isfinite(inc):
         raise StepError("Newton increment is not finite", increment_history=[inc])
-    return updated, inc, data.get("clamped", 0)
+    return updated, inc, data["clamped"]
 
 
 def _advance_linear(state, cfg, asm, scheme):
@@ -324,6 +319,8 @@ def advance(state, cfg, asm, scheme, nl):
 
 def num_slabs(T, tau):
     """Validated slab count N with T = N tau."""
+    if tau == 0 or not (np.isfinite(T) and np.isfinite(tau)):
+        raise ConfigurationError(f"T={T} and tau={tau} must be finite, tau nonzero")
     ratio = T / tau
     N = int(round(ratio))
     if N < 0 or abs(ratio - N) > 1e-9 * max(1.0, abs(ratio)):

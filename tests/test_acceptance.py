@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sav_nls.cli import parse_config, run_space_sweep, run_time_sweep
+from sav_nls.cli import parse_config, run_sweep
 from sav_nls.collocation import collocation_scheme, gauss_rule, temporal_ritz_project
 from sav_nls.diagnostics import InternalMassObserver, RunRecorder, eoc
 from sav_nls.fem import PERIODIC, build_space, interpolate, scatter_vector
@@ -40,7 +40,7 @@ def _time_sweep(k, tau_list, tmp_path):
         "tau": str(tau_list[0]),
         "tau_list": ",".join(repr(t) for t in tau_list),
     })
-    return run_time_sweep(cfg, out_dir=str(tmp_path))
+    return run_sweep(cfg, "tau", out_dir=str(tmp_path))
 
 
 @pytest.mark.parametrize("k,denoms,window,table", [
@@ -73,7 +73,7 @@ def test_criterion_2_spatial_order(p, M_list, window, tmp_path):
         "tau": repr(1 / 200), "T": "1",
         "M_list": ",".join(str(m) for m in M_list),
     })
-    result = run_space_sweep(cfg, out_dir=str(tmp_path))
+    result = run_sweep(cfg, "M", out_dir=str(tmp_path))
     orders = result.orders[1:]
     ok = np.all((orders >= window[0]) & (orders <= window[1]))
     detail = (f"p={p} errors={np.array2string(result.errors, precision=3)} "
@@ -263,7 +263,7 @@ def test_criterion_8_jacobian_directional_derivative():
                            + 1j * rng.standard_normal((k, n)),
                            1.0 + 0.3 * rng.standard_normal(k))
         data = _stage_data(state, unk, asm, scheme, nl, tau, need_jacobian=True)
-        system, _ = _assemble_newton_system(state, unk, asm, scheme, nl, tau, data)
+        system = _assemble_newton_system(unk, asm, scheme, tau, data)
         J = sp.bmat([[system.K, system.B],
                      [sp.csr_matrix(system.C), sp.csr_matrix(system.Dmat)]]).tocsr()
         grads = denominator_gradients(state, unk)

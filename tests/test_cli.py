@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from sav_nls.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_problem,
-                         main, parse_config, run_single, run_space_sweep,
-                         run_time_sweep)
+                         main, parse_config, run_single, run_sweep)
 from sav_nls.errors import UsageError
 
 
@@ -141,10 +140,12 @@ tau_list = 0.1, 0.05
 def test_time_sweep_csv(tmp_path):
     cfg = parse_config(_write(tmp_path, SWEEP))
     out = tmp_path / "sweep"
-    table = run_time_sweep(cfg, out_dir=str(out))
+    table = run_sweep(cfg, "tau", out_dir=str(out))
     lines = (out / "time_convergence.csv").read_text().splitlines()
     assert lines[0] == "k,tau,linf_h1_error,eoc"
     assert len(lines) == 3
+    assert [line.split(",")[:2] for line in lines[1:]] == [["1", "1.0000000000e-01"],
+                                                           ["1", "5.0000000000e-02"]]
     assert lines[1].split(",")[3] == ""  # first row has no EOC
     assert lines[2].split(",")[3] != ""
     assert np.all(np.isfinite(table.errors))
@@ -153,20 +154,28 @@ def test_time_sweep_csv(tmp_path):
 def test_time_sweep_single_entry(tmp_path):
     cfg = parse_config(_write(tmp_path, SWEEP), {"tau_list": "0.1"})
     out = tmp_path / "one"
-    run_time_sweep(cfg, out_dir=str(out))
+    run_sweep(cfg, "tau", out_dir=str(out))
     lines = (out / "time_convergence.csv").read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].split(",")[3] == ""
 
 
 def test_space_sweep_csv(tmp_path):
-    cfg = parse_config(_write(tmp_path, SWEEP), {"M_list": "20,40", "k": "2",
-                                                 "tau": "0.05", "T": "0.1"})
+    overrides = {"M_list": "20,40", "k": "2", "tau": "0.05", "T": "0.1"}
+    cfg_path = _write(tmp_path, SWEEP)
+    cfg = parse_config(cfg_path, overrides)
     out = tmp_path / "space"
-    table = run_space_sweep(cfg, out_dir=str(out))
+    table = run_sweep(cfg, "M", out_dir=str(out))
     lines = (out / "space_convergence.csv").read_text().splitlines()
     assert lines[0] == "p,M,linf_h1_error,eoc"
     assert len(lines) == 3
+    assert [line.split(",")[:2] for line in lines[1:]] == [["1", "20"], ["1", "40"]]
+    flags = [arg for key, value in overrides.items()
+             for arg in ("--" + key.replace("_", "-"), value)]
+    assert main(["sweep-space", "--config", cfg_path, "--out-dir", str(tmp_path / "cli"),
+                 *flags]) == EXIT_OK
+    assert ((tmp_path / "cli" / "space_convergence.csv").read_bytes()
+            == (out / "space_convergence.csv").read_bytes())
     # refinement reduces the error and the order is positive
     assert table.errors[1] < table.errors[0]
     assert table.orders[1] > 0
@@ -196,9 +205,28 @@ def test_zero_newton_iterations_is_usage_error(tmp_path, capsys):
     assert "max_newton_iters=0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--tau", "nan", "config key 'tau'"),
+    ("--tau", "inf", "config key 'tau'"),
+    ("--T", "inf", "config key 'T'"),
+    ("--T", "1e999", "config key 'T'"),
+    ("--newton-tol", "nan", "config key 'newton_tol'"),
+    ("--tau-list", "0.1, nan", "config key 'tau_list'"),
+    ("--tau", "0", "tau=0.0"),
+])
+def test_non_finite_value_is_usage_error(tmp_path, capsys, flag, value, message):
+    cfg_path = _write(tmp_path, TINY_RUN)
+    assert main(["run", "--config", cfg_path, flag, value,
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_requires_list(tmp_path):
     cfg = parse_config(_write(tmp_path, TINY_RUN))
     with pytest.raises(UsageError, match="tau_list"):
-        run_time_sweep(cfg, out_dir=str(tmp_path))
+        run_sweep(cfg, "tau", out_dir=str(tmp_path))
     with pytest.raises(UsageError, match="M_list"):
-        run_space_sweep(cfg, out_dir=str(tmp_path))
+        run_sweep(cfg, "M", out_dir=str(tmp_path))

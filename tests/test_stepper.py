@@ -10,8 +10,8 @@ from sav_nls.model import SavState, custom_nonlinearity, power_law, r_init
 from sav_nls.problems import soliton
 from sav_nls.stepper import (Assemblies, SlabUnknowns, StepperConfig,
                              _assemble_newton_system, _complex_parts,
-                             _real_parts, _stage_data, advance, integrate,
-                             newton_step, num_slabs, residual)
+                             _real_parts, _residual_from_data, _stage_data,
+                             advance, integrate, newton_step, num_slabs, residual)
 
 
 def _zeros_state(space, r):
@@ -25,8 +25,15 @@ def test_config_validation():
         StepperConfig(tau=0.1, k=2, newton_tol=0.0)
     with pytest.raises(ConfigurationError, match="max_newton_iters"):
         StepperConfig(tau=0.1, k=2, max_newton_iters=0)
+    for bad in ({"tau": np.nan}, {"tau": np.inf}, {"tau": -np.inf},
+                {"newton_tol": np.nan}, {"newton_tol": np.inf}):
+        with pytest.raises(ConfigurationError, match=next(iter(bad))):
+            StepperConfig(**{"tau": 0.1, "k": 2, **bad})
     with pytest.raises(ConfigurationError):
         num_slabs(1.0, 0.3)
+    for T, tau in ((np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, np.inf), (1.0, 0.0)):
+        with pytest.raises(ConfigurationError, match="finite"):
+            num_slabs(T, tau)
     assert num_slabs(1.0, 0.05) == 20
     assert num_slabs(0.0, 0.1) == 0
 
@@ -193,8 +200,10 @@ def test_linear_time_reversibility(k):
 @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_nonlinear_time_reversibility_and_phase_invariance(k, bc):
-    # Gauss collocation is symmetric and the SAV system is invariant under a
-    # global phase: both hold to roundoff for kappa != 0, not only at kappa = 0
+    # Gauss collocation is symmetric, and the SAV system is invariant under a
+    # global phase, under complex conjugation with time reversal and, on the
+    # periodic mesh, under a shift by one element: all hold to roundoff for
+    # kappa != 0, not only at kappa = 0
     prob = soliton()
     nl = power_law(prob.kappa, prob.q, c0=1.0)
     space = build_space(prob.a, prob.b, 60, 2, bc)
@@ -212,6 +221,18 @@ def test_nonlinear_time_reversibility_and_phase_invariance(k, bc):
                          asm, scheme, nl)
     assert np.linalg.norm(rotated.u - phase * fwd.u) <= 1e-12 * np.linalg.norm(fwd.u)
     assert abs(rotated.r - fwd.r) <= 1e-12 * abs(fwd.r)
+
+    conj_back, _ = advance(SavState(u=u0.conj(), r=state.r, t=0.0),
+                           StepperConfig(tau=-0.1, k=k), asm, scheme, nl)
+    assert np.linalg.norm(conj_back.u - fwd.u.conj()) <= 1e-12 * np.linalg.norm(fwd.u)
+    assert abs(conj_back.r - fwd.r) <= 1e-12 * abs(fwd.r)
+
+    if bc == PERIODIC:
+        p = space.degree
+        shifted, _ = advance(SavState(u=np.roll(u0, p), r=state.r, t=0.0),
+                             StepperConfig(tau=0.1, k=k), asm, scheme, nl)
+        assert np.linalg.norm(shifted.u - np.roll(fwd.u, p)) <= 1e-12 * np.linalg.norm(fwd.u)
+        assert abs(shifted.r - fwd.r) <= 1e-12 * abs(fwd.r)
 
 
 def test_integral_reformulation_identity():
@@ -345,7 +366,8 @@ def test_real_form_layout_matches_blockwise_loops(k, bc):
     unk = SlabUnknowns(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)),
                        1.0 + 0.2 * rng.standard_normal(k))
     data = _stage_data(state, unk, asm, scheme, nl, tau, need_jacobian=True)
-    system, (res_u, _) = _assemble_newton_system(state, unk, asm, scheme, nl, tau, data)
+    system = _assemble_newton_system(unk, asm, scheme, tau, data)
+    res_u, _ = _residual_from_data(unk, data)
     alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
     B, C = _loop_layout_reference(data["N"], data["du"], data["G1"], data["X2"],
                                   data["Y2"], alpha, k, n)
@@ -422,7 +444,7 @@ def test_fixed_layout_assembly_matches_coo_and_bmat(p, k, bc, M, monkeypatch):
     unk = SlabUnknowns(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)),
                        1.0 + 0.2 * rng.standard_normal(k))
     data = _stage_data(state, unk, asm, scheme, nl, tau, need_jacobian=True)
-    system, _ = _assemble_newton_system(state, unk, asm, scheme, nl, tau, data)
+    system = _assemble_newton_system(unk, asm, scheme, tau, data)
 
     assert len(scattered) == 2 + 3 * k   # mass, stiffness, then G1, X2, Y2 per stage
     ref = [_coo_scatter_reference(space, local) for local, _ in scattered]
