@@ -116,6 +116,7 @@ class CollocationScheme:
     nodes: np.ndarray          # k+1 reference nodes, including -1
     diff_matrix: np.ndarray    # (k, k+1)
     endpoint_weights: np.ndarray  # (k+1,)
+    extrapolation_matrix: np.ndarray  # (k, k+1), values at the next slab's Gauss points 2 + c_j
 
 
 def collocation_scheme(k):
@@ -125,7 +126,8 @@ def collocation_scheme(k):
     diff = lagrange_basis_deriv(nodes, rule.nodes)
     endpoint = lagrange_basis(nodes, np.array([1.0]))[0]
     return CollocationScheme(rule=rule, nodes=nodes, diff_matrix=diff,
-                             endpoint_weights=endpoint)
+                             endpoint_weights=endpoint,
+                             extrapolation_matrix=lagrange_basis(nodes, 2.0 + rule.nodes))
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,7 @@ def element_coefficients(space, v):
     (..., num_elements, p+1); a constrained node (dof -1) reads 0."""
     v = np.asarray(v, dtype=np.complex128)
     padded = np.concatenate([v, np.zeros(v.shape[:-1] + (1,), dtype=np.complex128)], axis=-1)
-    return padded[..., space.dof_map]
+    return np.take(padded, space.dof_map, axis=-1)
 
 
 def element_values(space, v, ref_pts):

@@ -255,9 +255,7 @@ def newton_step(state, unknowns, asm, scheme, nl, tau):
 
 def _advance_linear(state, cfg, asm, scheme):
     """kappa = 0: the stage system is linear and complex; solve it once."""
-    n = asm.space.num_dofs
-    k = cfg.k
-    tau = cfg.tau
+    k, tau = cfg.k, cfg.tau
     if ("linear", tau, k) not in asm.cache:
         alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
         grid = [[1j * alpha[j, m] * asm.mass + asm.stiff if j == m
@@ -267,8 +265,7 @@ def _advance_linear(state, cfg, asm, scheme):
 
     unknowns = SlabUnknowns(np.tile(state.u, (k, 1)), np.full(k, state.r))
     _, res_u = _linear_residual(state, unknowns.u_stages, asm, scheme, tau)
-    delta = factor(asm.cache["linear", tau, k]).solve(-res_u.reshape(-1))
-    delta_u = delta.reshape(k, n)
+    delta_u = factor(asm.cache["linear", tau, k]).solve(-res_u.reshape(-1)).reshape(k, -1)
     unknowns = SlabUnknowns(unknowns.u_stages + delta_u, unknowns.r_stages)
     inc = _increment_norm(asm, delta_u, np.zeros(k))
 
@@ -276,37 +273,51 @@ def _advance_linear(state, cfg, asm, scheme):
     return unknowns, [inc], _residual_norm(res_u, np.zeros(k)), []
 
 
-def advance(state, cfg, asm, scheme, nl):
+def _newton(state, unknowns, cfg, asm, scheme, nl, history):
+    """Newton iteration from `unknowns` until an increment norm is at most
+    newton_tol; returns (unknowns, clamped points).  Appends each increment to
+    `history`, inf while the step runs, so that a step that raises is counted."""
+    clamped_total = 0
+    for _ in range(cfg.max_newton_iters):
+        history.append(np.inf)
+        unknowns, history[-1], clamped = newton_step(state, unknowns, asm, scheme, nl, cfg.tau)
+        clamped_total += clamped
+        if history[-1] <= cfg.newton_tol:
+            return unknowns, clamped_total
+    raise StepError(f"Newton did not converge in {cfg.max_newton_iters} iterations "
+                    f"(last increment {history[-1]:.3e})", increment_history=history)
+
+
+def advance(state, cfg, asm, scheme, nl, previous=None):
     """Solve one slab and return (new_state, StepReport).
 
-    Newton starts from the constant-in-time extrapolation of the previous
-    endpoint and stops when the increment norm drops below newton_tol.
+    With `previous`, the (start state, stages) of the slab just solved with the
+    same tau, Newton starts from that slab's collocation polynomial at this
+    slab's Gauss points (Hairer & Wanner, Solving ODEs II, IV.8), and starts
+    again from the constant value state if that fails; without it, from the
+    constant value.  The kappa = 0 path ignores `previous`.
     """
-    tau = cfg.tau
-    k = cfg.k
+    tau, k = cfg.tau, cfg.k
     if nl.is_linear:
         unknowns, history, res_final, warnings = _advance_linear(state, cfg, asm, scheme)
     else:
-        unknowns = SlabUnknowns(np.tile(state.u, (k, 1)), np.full(k, float(state.r)))
-        history = []
-        warnings = []
-        clamped_total = 0
-        converged = False
-        for _ in range(cfg.max_newton_iters):
-            unknowns, inc, clamped = newton_step(state, unknowns, asm, scheme, nl, tau)
-            history.append(inc)
-            clamped_total += clamped
-            if inc <= cfg.newton_tol:
-                converged = True
-                break
-        if not converged:
-            raise StepError(
-                f"Newton did not converge in {cfg.max_newton_iters} iterations "
-                f"(last increment {history[-1]:.3e})", increment_history=history)
-        if clamped_total:
-            warnings.append(f"clamped singular g derivatives at {clamped_total} points")
-        res_u, res_r = residual(state, unknowns, asm, scheme, nl, tau)
-        res_final = _residual_norm(res_u, res_r)
+        history, warnings = [], []
+        constant = start = SlabUnknowns(np.tile(state.u, (k, 1)), np.full(k, float(state.r)))
+        if previous is not None:
+            (prev_state, stages), E = previous, scheme.extrapolation_matrix
+            start = SlabUnknowns(E @ np.vstack([prev_state.u, stages.u_stages]),
+                                 E @ np.append(prev_state.r, stages.r_stages))
+        try:
+            unknowns, clamped = _newton(state, start, cfg, asm, scheme, nl, history)
+        except (StepError, ModelError, SolverError) as exc:
+            if start is constant:
+                raise
+            warnings.append(f"restarted Newton from the constant value; the start from the "
+                            f"previous slab's polynomial failed at step {len(history)}: {exc}")
+            unknowns, clamped = _newton(state, constant, cfg, asm, scheme, nl, history)
+        if clamped:
+            warnings.append(f"clamped singular g derivatives at {clamped} points")
+        res_final = _residual_norm(*residual(state, unknowns, asm, scheme, nl, tau))
 
     e = scheme.endpoint_weights
     u_end = e[0] * state.u + e[1:] @ unknowns.u_stages
@@ -345,9 +356,10 @@ def integrate(u0_fn, cfg, space, nl, T, observers=(), nq=None):
             obs.start(state, asm, scheme, nl)
     reports = []
     states = [state]
+    previous = None
     for n in range(1, N + 1):
         try:
-            new_state, report = advance(state, cfg, asm, scheme, nl)
+            new_state, report = advance(state, cfg, asm, scheme, nl, previous)
         except (StepError, ModelError, SolverError) as exc:
             raise StepError(f"slab {n} (t={state.t:.6g}): {exc}",
                             increment_history=getattr(exc, "increment_history", None),
@@ -356,6 +368,7 @@ def integrate(u0_fn, cfg, space, nl, T, observers=(), nq=None):
             obs.after_slab(n, state, new_state, report)
         reports.append(report)
         states.append(new_state)
+        previous = (state, report.stages)
         state = new_state
     return TrajectorySummary(final_state=state, reports=reports, num_slabs=N,
                              states=states, assemblies=asm, scheme=scheme)

@@ -102,6 +102,17 @@ def test_collocation_scheme_exactness(k):
                                rtol=1e-11, atol=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_extrapolation_matrix_continues_the_slab_polynomial(k):
+    # a degree-k polynomial's nodal values on [-1, 1] give its values at the
+    # next slab's Gauss points 2 + c_j exactly
+    scheme = collocation_scheme(k)
+    assert scheme.extrapolation_matrix.shape == (k, k + 1)
+    poly = np.polynomial.Polynomial(np.random.default_rng(k).standard_normal(k + 1))
+    np.testing.assert_allclose(scheme.extrapolation_matrix @ poly(scheme.nodes),
+                               poly(2.0 + scheme.rule.nodes), rtol=1e-11, atol=1e-11)
+
+
 def _slab_poly_from_callable(fn, k, slab):
     scheme = collocation_scheme(k)
     t0, t1 = slab

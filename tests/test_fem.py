@@ -3,8 +3,8 @@ import pytest
 
 from sav_nls.errors import ConfigurationError, InputError
 from sav_nls.fem import (DIRICHLET, PERIODIC, assemble_mass, assemble_stiffness,
-                         build_space, error_norms, evaluate, integrate_density,
-                         interpolate)
+                         basis_tables, build_space, element_coefficients, error_norms,
+                         evaluate, integrate_density, interpolate)
 
 
 def sech(x):
@@ -151,6 +151,27 @@ def test_periodic_translation_equivariance():
     c1 = interpolate(space, fn)
     c2 = interpolate(space, shifted)
     np.testing.assert_array_equal(c2, np.roll(c1, -p))
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+def test_element_coefficients_take_matches_ellipsis_indexing(bc):
+    # np.take along the last axis must give the same stage quadrature values,
+    # bit for bit, as the padded[..., dof_map] indexing it replaced: the CSV
+    # outputs pin these bits
+    rng = np.random.default_rng(11)
+    for p in range(1, 5):
+        space = build_space(-20.0, 20.0, 2000, p, bc)
+        phi = basis_tables(space, p + 2)[2]
+        for k in range(1, 5):
+            v = rng.standard_normal((k, space.num_dofs)) + 1j * rng.standard_normal(
+                (k, space.num_dofs))
+            padded = np.concatenate([v, np.zeros((k, 1))], axis=-1)
+            reference = padded[..., space.dof_map]
+            local = element_coefficients(space, v)
+            assert np.array_equal(local, reference)
+            assert np.array_equal(local @ phi.T, reference @ phi.T)
+            assert np.array_equal(element_coefficients(space, v[0]) @ phi.T,
+                                  padded[0][..., space.dof_map] @ phi.T)
 
 
 def test_evaluate_constant_and_linear():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sav_nls import fem, stepper
 from sav_nls.collocation import SlabPolynomial, collocation_scheme, temporal_l2_project
+from sav_nls.diagnostics import InternalMassObserver, RunRecorder
 from sav_nls.errors import ConfigurationError, StepError
 from sav_nls.fem import DIRICHLET, PERIODIC, build_space, interpolate
 from sav_nls.model import SavState, custom_nonlinearity, power_law, r_init
@@ -233,6 +236,84 @@ def test_nonlinear_time_reversibility_and_phase_invariance(k, bc):
                              StepperConfig(tau=0.1, k=k), asm, scheme, nl)
         assert np.linalg.norm(shifted.u - np.roll(fwd.u, p)) <= 1e-12 * np.linalg.norm(fwd.u)
         assert abs(shifted.r - fwd.r) <= 1e-12 * abs(fwd.r)
+
+
+class _SlabLog:
+    def __init__(self):
+        self.slabs = []
+
+    def after_slab(self, n, prev_state, new_state, report):
+        self.slabs.append((prev_state, new_state, report))
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_predictor_matches_cold_start(k, bc):
+    # integrate starts Newton on every slab after the first from the previous
+    # slab's polynomial: slab 1 is a cold-start advance bit for bit, and every
+    # later slab reaches the cold-start solution in fewer Newton iterations.
+    # Not for k = 1 at this tau: the linear extrapolation of the rotating phase
+    # misses the stage mass by 14% (the constant start by 3.5%), and the SAV
+    # denominator that the Jacobian freezes, 6.9% off, costs one more iteration
+    prob = soliton()
+    nl = power_law(prob.kappa, prob.q, c0=1.0)
+    space = build_space(prob.a, prob.b, 60, 2, bc)
+    cfg = StepperConfig(tau=0.1, k=k)
+    log = _SlabLog()
+    summary = integrate(prob.u0, cfg, space, nl, 0.5, observers=(log,))
+    warm_iters = cold_iters = 0
+    for n, (state, new, report) in enumerate(log.slabs, start=1):
+        cold, cold_report = advance(state, cfg, summary.assemblies, summary.scheme, nl)
+        if n == 1:
+            assert np.array_equal(new.u, cold.u) and new.r == cold.r
+            assert report.increment_history == cold_report.increment_history
+            continue
+        assert np.linalg.norm(new.u - cold.u) <= 1e-9 * np.linalg.norm(cold.u)
+        assert abs(new.r - cold.r) <= 1e-9 * abs(cold.r)
+        assert report.iterations <= cold_report.iterations + (k == 1)
+        warm_iters += report.iterations
+        cold_iters += cold_report.iterations
+    assert warm_iters < cold_iters or k == 1
+
+
+def test_failed_predictor_restarts_from_constant_value():
+    # under-resolved defocusing data (h = 1.25 against wave number 2): the
+    # extrapolated start of slab 2 has a nonpositive SAV radicand, so advance
+    # solves the slab from the constant value, bit for bit as a cold start,
+    # and counts the failed step
+    prob = soliton(-10.0, 10.0)
+    nl = power_law(-prob.kappa, prob.q, c0=1.0)
+    space = build_space(prob.a, prob.b, 16, 3, PERIODIC)
+    cfg = StepperConfig(tau=0.1, k=1)
+    log = _SlabLog()
+    summary = integrate(prob.u0, cfg, space, nl, 0.2, observers=(log,))
+    state, new, report = log.slabs[1]
+    cold, cold_report = advance(state, cfg, summary.assemblies, summary.scheme, nl)
+    assert np.array_equal(new.u, cold.u) and new.r == cold.r
+    assert report.increment_history == [np.inf] + cold_report.increment_history
+    assert report.warnings[0].startswith("restarted Newton from the constant value; the start "
+                                         "from the previous slab's polynomial failed at step 1")
+    assert "nonpositive" in report.warnings[0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(1, 4), k=st.integers(1, 4), bc=st.sampled_from([PERIODIC, DIRICHLET]),
+       sign=st.sampled_from([1.0, -1.0]), q=st.sampled_from([3.0, 5.0]),
+       c0=st.floats(1.0, 10.0))
+def test_random_sweep_conserves_mass_energy_and_stage_mass(p, k, bc, sign, q, c0):
+    # criterion 3's drift bounds and the internal-stage mass bound hold for
+    # every degree pair, boundary condition, sign of kappa, power and c0
+    prob = soliton(-10.0, 10.0)
+    nl = power_law(sign * prob.kappa, q, c0=c0)
+    space = build_space(prob.a, prob.b, 16, p, bc)
+    recorder = RunRecorder()
+    internal = InternalMassObserver()
+    integrate(prob.u0, StepperConfig(tau=0.1, k=k), space, nl, 0.3,
+              observers=(recorder, internal))
+    mass0 = recorder.records[0].mass
+    assert recorder.max_mass_drift <= 1e-10 * mass0
+    assert recorder.max_sav_energy_drift <= 1e-9
+    assert internal.all_ok, internal.worst_ratio
 
 
 def test_integral_reformulation_identity():
