@@ -8,8 +8,9 @@ from .diagnostics import (ConvergenceTable, InternalMassObserver,
                           ObservationRecord, RunRecorder,
                           TrajectoryErrorObserver, eoc, internal_mass_check,
                           mass, original_energy, sav_energy)
-from .errors import (ConfigurationError, InputError, ModelError, SavNlsError,
-                     SolverError, StepError, UsageError)
+from .errors import (ConfigurationError, InputError, ModelError,
+                     NumericalError, SavNlsError, SolverError, StepError,
+                     UsageError)
 from .fem import (DIRICHLET, PERIODIC, FemSpace, Mesh1D, assemble_mass,
                   assemble_stiffness, build_space, error_norms, evaluate,
                   integrate_density, interpolate)

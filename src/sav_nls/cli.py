@@ -18,8 +18,7 @@ import numpy as np
 from . import problems
 from .diagnostics import (ConvergenceTable, InternalMassObserver, RunRecorder,
                           TrajectoryErrorObserver)
-from .errors import (ConfigurationError, InputError, ModelError, SolverError,
-                     StepError, UsageError)
+from .errors import ConfigurationError, NumericalError, UsageError
 from .fem import DIRICHLET, PERIODIC, build_space
 from .model import power_law
 from .stepper import StepperConfig, integrate, num_slabs
@@ -31,10 +30,7 @@ EXIT_NUMERICAL = 3
 MASS_DRIFT_REL = 1e-10
 SAV_ENERGY_DRIFT_ABS = 1e-9
 
-_PROBLEM_DOMAINS = {
-    problems.SOLITON: (-20.0, 20.0),
-    problems.PLANE_WAVE: (0.0, 1.0),
-}
+_PROBLEMS = {problems.SOLITON: problems.soliton, problems.PLANE_WAVE: problems.plane_wave}
 
 
 @dataclass(frozen=True)
@@ -97,18 +93,23 @@ def read_config_file(path):
     """Flat 'key = value' lines; '#' starts a comment."""
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: "
+                         f"{getattr(exc, 'strerror', exc)}") from exc
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in _PARSERS:
-                raise UsageError(f"{path}:{lineno}: unknown config key '{key}'")
-            values[key] = raw
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in _PARSERS:
+            raise UsageError(f"{path}:{lineno}: unknown config key '{key}'")
+        values[key] = raw
     return values
 
 
@@ -126,20 +127,11 @@ def parse_config(path=None, overrides=None):
 
     values = {k: _parse_value(k, v) for k, v in raw.items()}
     problem = values.get("problem", ExperimentConfig.problem)
-    if problem not in (problems.SOLITON, problems.PLANE_WAVE, problems.CUSTOM):
-        raise UsageError(f"unknown problem '{problem}'")
-    cfg = ExperimentConfig(**values)
-
-    defaults = {}
-    dom = _PROBLEM_DOMAINS.get(problem, (0.0, 1.0))
-    if cfg.a is None:
-        defaults["a"] = dom[0]
-    if cfg.b is None:
-        defaults["b"] = dom[1]
-    if cfg.kappa is None:
-        defaults["kappa"] = 2.0 if problem == problems.SOLITON else 0.0
-    if defaults:
-        cfg = replace(cfg, **defaults)
+    if problem not in _PROBLEMS:
+        raise UsageError(f"unknown problem '{problem}': the CLI runs {' or '.join(_PROBLEMS)}; "
+                         "custom problems need the library API")
+    default = _PROBLEMS[problem]()
+    cfg = ExperimentConfig(**{"a": default.a, "b": default.b, "kappa": default.kappa, **values})
 
     for key in _REQUIRED:
         if getattr(cfg, key) is None:
@@ -160,17 +152,24 @@ def build_problem(cfg):
         if (cfg.kappa, cfg.q) != (2.0, 3.0):
             prob = problems.Problem(name=prob.name, a=prob.a, b=prob.b,
                                     kappa=cfg.kappa, q=cfg.q, u0=prob.u0)
-    elif cfg.problem == problems.PLANE_WAVE:
-        prob = problems.plane_wave(kappa=cfg.kappa, q=cfg.q, a=cfg.a, b=cfg.b)
     else:
-        raise UsageError("problem 'custom' requires the library API (see README)")
+        prob = problems.plane_wave(kappa=cfg.kappa, q=cfg.q, a=cfg.a, b=cfg.b)
     nl = power_law(cfg.kappa, cfg.q, cfg.c0)
     return prob, nl
 
 
-def _stepper_config(cfg):
-    return StepperConfig(tau=cfg.tau, k=cfg.k, newton_tol=cfg.newton_tol,
-                         max_newton_iters=cfg.max_newton_iters)
+def _integrate(cfg, prob, nl, observers):
+    """Integrate cfg's problem with the observers; the NumericalError that
+    ended the run, or None."""
+    space = build_space(cfg.a, cfg.b, cfg.M, cfg.p, cfg.bc)
+    stepper_cfg = StepperConfig(tau=cfg.tau, k=cfg.k, newton_tol=cfg.newton_tol,
+                                max_newton_iters=cfg.max_newton_iters)
+    try:
+        integrate(prob.u0, stepper_cfg, space, nl, cfg.T, observers=observers,
+                  nq=cfg.nq or None)
+    except NumericalError as exc:
+        return exc
+    return None
 
 
 def _fmt(x):
@@ -180,6 +179,13 @@ def _fmt(x):
     if not np.isfinite(x):
         return ""
     return f"{x:.10e}"
+
+
+def _make_out_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {path}: {exc.strerror}") from exc
 
 
 def _write_csv(path, header, rows):
@@ -195,17 +201,11 @@ def run_single(cfg, out_dir=".", check=False):
     Returns an exit code: 0 when every slab converged (and, with check=True,
     every conservation assertion passed), 3 on numerical failure.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     prob, nl = build_problem(cfg)
-    space = build_space(cfg.a, cfg.b, cfg.M, cfg.p, cfg.bc)
     recorder = RunRecorder(exact=prob.exact, exact_grad=prob.exact_grad)
     internal = InternalMassObserver()
-    failure = None
-    try:
-        integrate(prob.u0, _stepper_config(cfg), space, nl, cfg.T,
-                  observers=(recorder, internal), nq=cfg.nq or None)
-    except (StepError, SolverError, ModelError, InputError) as exc:
-        failure = exc
+    failure = _integrate(cfg, prob, nl, (recorder, internal))
 
     rows = []
     ref = recorder.records[0] if recorder.records else None
@@ -257,14 +257,9 @@ def _sweep_entry(cfg):
     prob, nl = build_problem(cfg)
     if prob.exact is None:
         raise UsageError("convergence sweeps need a problem with an exact solution")
-    space = build_space(cfg.a, cfg.b, cfg.M, cfg.p, cfg.bc)
     observer = TrajectoryErrorObserver(prob.exact, prob.exact_grad)
-    try:
-        integrate(prob.u0, _stepper_config(cfg), space, nl, cfg.T,
-                  observers=(observer,), nq=cfg.nq or None)
-    except (StepError, SolverError, ModelError, InputError) as exc:
-        return np.nan, str(exc)
-    return observer.linf_h1, ""
+    failure = _integrate(cfg, prob, nl, (observer,))
+    return (observer.linf_h1, "") if failure is None else (np.nan, str(failure))
 
 
 def _sweep_workers(n_entries):
@@ -302,7 +297,7 @@ def run_sweep(cfg, key, out_dir="."):
     runs = [replace(cfg, **{key: value}) for value in values]
     for run in runs:
         num_slabs(run.T, run.tau)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     results = _run_sweep(runs)
     table = ConvergenceTable.from_errors([eoc_param(v) for v in values], [r[0] for r in results])
     rows = [[str(getattr(cfg, fixed)), cell(value), _fmt(err) if not msg else f"failed: {msg}",
@@ -311,17 +306,6 @@ def run_sweep(cfg, key, out_dir="."):
     _write_csv(os.path.join(out_dir, f"{study}_convergence.csv"),
                [fixed, key, "linf_h1_error", "eoc"], rows)
     return table
-
-
-def _add_config_options(parser):
-    parser.add_argument("--config", default=None, help="flat key = value config file")
-    parser.add_argument("--out-dir", default=".", help="output directory for CSVs")
-    parser.add_argument("--check", action="store_true",
-                        help="turn conservation assertions into hard failures")
-    for key in _PARSERS:
-        flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=f"cfg_{key}", default=None, metavar="V",
-                            help=f"override config key '{key}'")
 
 
 def _overrides_from_args(args):
@@ -340,7 +324,14 @@ def main(argv=None):
                                        ("sweep-space", "M", "spatial convergence study")):
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(sweep_key=sweep_key)
-        _add_config_options(sp)
+        sp.add_argument("--config", default=None, help="flat key = value config file")
+        sp.add_argument("--out-dir", default=".", help="output directory for CSVs")
+        if sweep_key is None:
+            sp.add_argument("--check", action="store_true",
+                            help="turn conservation assertions into hard failures")
+        for key in _PARSERS:
+            sp.add_argument("--" + key.replace("_", "-"), dest=f"cfg_{key}", default=None,
+                            metavar="V", help=f"override config key '{key}'")
 
     try:
         args = parser.parse_args(argv)
@@ -355,7 +346,7 @@ def main(argv=None):
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (StepError, SolverError, ModelError, InputError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

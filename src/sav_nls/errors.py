@@ -9,19 +9,23 @@ class ConfigurationError(SavNlsError):
     """Invalid discretization or scheme parameters."""
 
 
-class InputError(SavNlsError):
+class NumericalError(SavNlsError):
+    """A run that was set up correctly but failed; the CLI's exit 3."""
+
+
+class InputError(NumericalError):
     """Invalid runtime data (out-of-domain point, non-finite sample, ...)."""
 
 
-class ModelError(SavNlsError):
+class ModelError(NumericalError):
     """Nonlinearity/auxiliary-variable violation (nonpositive radicand, ...)."""
 
 
-class SolverError(SavNlsError):
+class SolverError(NumericalError):
     """Linear algebra failure (singular factorization, degenerate coupling)."""
 
 
-class StepError(SavNlsError):
+class StepError(NumericalError):
     """Time-step failure; carries the Newton increment history."""
 
     def __init__(self, message, increment_history=None, failed_slab=None):

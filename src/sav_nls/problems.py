@@ -6,7 +6,6 @@ import numpy as np
 
 SOLITON = "soliton"
 PLANE_WAVE = "planewave"
-CUSTOM = "custom"
 
 
 def sech(x):

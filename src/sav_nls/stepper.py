@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .collocation import collocation_scheme
-from .errors import ConfigurationError, ModelError, SolverError, StepError
+from .errors import ConfigurationError, ModelError, NumericalError, StepError
 from .fem import (assemble_mass, assemble_stiffness, basis_tables, element_coefficients,
                   interpolate, matrix_pattern, scatter_matrix, scatter_vector)
 from .linsolve import BorderedSystem, factor, solve_bordered
@@ -309,7 +309,7 @@ def advance(state, cfg, asm, scheme, nl, previous=None):
                                  E @ np.append(prev_state.r, stages.r_stages))
         try:
             unknowns, clamped = _newton(state, start, cfg, asm, scheme, nl, history)
-        except (StepError, ModelError, SolverError) as exc:
+        except NumericalError as exc:
             if start is constant:
                 raise
             warnings.append(f"restarted Newton from the constant value; the start from the "
@@ -360,7 +360,7 @@ def integrate(u0_fn, cfg, space, nl, T, observers=(), nq=None):
     for n in range(1, N + 1):
         try:
             new_state, report = advance(state, cfg, asm, scheme, nl, previous)
-        except (StepError, ModelError, SolverError) as exc:
+        except NumericalError as exc:
             raise StepError(f"slab {n} (t={state.t:.6g}): {exc}",
                             increment_history=getattr(exc, "increment_history", None),
                             failed_slab=n) from exc

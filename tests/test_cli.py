@@ -1,11 +1,16 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sav_nls.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_problem,
                          main, parse_config, run_single, run_sweep)
-from sav_nls.errors import UsageError
+from sav_nls.errors import (InputError, ModelError, NumericalError, SolverError,
+                            StepError, UsageError)
+
+CONSERVATION_CFG = str(Path(__file__).resolve().parents[1] / "configs"
+                       / "soliton_conservation.cfg")
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -32,6 +37,11 @@ def test_parse_minimal_config_applies_defaults(tmp_path):
     assert cfg.kappa == 2.0
     assert (cfg.a, cfg.b) == (-20.0, 20.0)
     assert cfg.bc == "periodic"
+
+
+def test_plane_wave_defaults(tmp_path):
+    cfg = parse_config(_write(tmp_path, MINIMAL.replace("soliton", "planewave", 2)))
+    assert (cfg.a, cfg.b, cfg.kappa) == (0.0, 1.0, 0.0)
 
 
 def test_flag_overrides_file(tmp_path):
@@ -118,6 +128,15 @@ def test_run_single_reproducible_bytes(tmp_path):
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
 
+def test_failure_before_first_slab(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--config", CONSERVATION_CFG, "--kappa", "-100", "--T", "0.2",
+                 "--out-dir", str(out)]) == EXIT_NUMERICAL  # r_init radicand < 0
+    assert (out / "summary.csv").read_text().splitlines()[1] == ",,,,,,,0,1,0"
+    assert (out / "timeseries.csv").read_text().splitlines()[1:] == [
+        "2.0000000000e-01,,,,,,,-1"]
+
+
 def test_run_single_failure_row_and_exit_code(tmp_path):
     cfg = parse_config(_write(tmp_path, TINY_RUN), {"max_newton_iters": "1"})
     out = tmp_path / "fail"
@@ -149,6 +168,20 @@ def test_time_sweep_csv(tmp_path):
     assert lines[1].split(",")[3] == ""  # first row has no EOC
     assert lines[2].split(",")[3] != ""
     assert np.all(np.isfinite(table.errors))
+
+
+def test_failed_sweep_entries(tmp_path, monkeypatch):
+    monkeypatch.setenv("SAV_NLS_THREADS", "1")
+    out = tmp_path / "out"
+    assert main(["sweep-time", "--config", _write(tmp_path, SWEEP), "--max-newton-iters", "1",
+                 "--out-dir", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in
+            (out / "time_convergence.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert row[2].startswith("failed: slab 1 (t=0): Newton did not converge "
+                                 "in 1 iterations (")
+        assert row[3] == ""
 
 
 def test_time_sweep_single_entry(tmp_path):
@@ -189,6 +222,47 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", "--config", cfg_path, "--out-dir", str(out),
                  "--T", "0.1"]) == EXIT_OK
     assert (out / "timeseries.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["config_is_directory", "config_not_utf8",
+                                  "run_out_dir_is_file", "sweep_out_dir_is_file"])
+def test_io_failure_is_usage_error(tmp_path, capsys, case):
+    cfg_path = _write(tmp_path, SWEEP)
+    afile = _write(tmp_path, "", name="afile")
+    (tmp_path / "bad.cfg").write_bytes(b"problem = soliton\n\xff\n")
+    command, config, out = {
+        "config_is_directory": ("run", str(tmp_path), str(tmp_path / "out")),
+        "config_not_utf8": ("run", str(tmp_path / "bad.cfg"), str(tmp_path / "out")),
+        "run_out_dir_is_file": ("run", cfg_path, afile),
+        "sweep_out_dir_is_file": ("sweep-time", cfg_path, afile),
+    }[case]
+    assert main([command, "--config", config, "--out-dir", out]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert (config if case.startswith("config") else out) in err
+
+
+@pytest.mark.parametrize("problem", ["custom", "bogus"])
+def test_unknown_problem_rejected_before_output(tmp_path, capsys, problem):
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, TINY_RUN), "--problem", problem,
+                 "--out-dir", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"usage error: unknown problem '{problem}'")
+    assert not out.exists()
+
+
+def test_check_is_a_run_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-time", "--config", _write(tmp_path, SWEEP), "--check",
+              "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error", [InputError, ModelError, SolverError, StepError])
+def test_numerical_errors_share_one_base(error):
+    assert issubclass(error, NumericalError)
 
 
 def test_non_integer_thread_count_is_usage_error(tmp_path, monkeypatch):

@@ -1,8 +1,9 @@
 """Column-level difference between the CSVs of two checkouts.
 
-Runs the desk-scale cases of ``tools/output_digest.py`` with this checkout's
-``src/`` and with the one of PARENT_CHECKOUT, each checkout in its own
-subprocess (the two run side by side, one sweep worker each), and prints,
+Runs the desk-scale cases of ``tools/output_digest.py``, the failing ones
+included, with this checkout's ``src/`` and with the one of PARENT_CHECKOUT,
+each checkout in its own subprocess (the two run side by side, one sweep
+worker each), checks every exit code against the case's, and prints,
 for every column of every CSV, the maximum relative difference
 |a - b| / max(|a|, |b|) and the maximum absolute difference |a - b| over the
 rows:
@@ -32,12 +33,11 @@ from pathlib import Path
 root, out = Path(sys.argv[1]), Path(sys.argv[2])
 sys.path.insert(0, str(root / "src"))
 from sav_nls import cli
-for command, config, *flags in json.loads(sys.argv[3]):
-    name = f"{command}:{Path(config).stem}"
+for name, expected, command, config, *flags in json.loads(sys.argv[3]):
     code = cli.main([command, "--config", str(root / config),
                      "--out-dir", str(out / name), *flags])
-    if code != cli.EXIT_OK:
-        sys.exit(f"{name} exited with {code}")
+    if code != expected:
+        sys.exit(f"{name} exited with {code}, expected {expected}")
 """
 
 

@@ -1,7 +1,9 @@
 """SHA-256 of every CSV that the desk-scale command-line cases write.
 
 Runs each case in-process through ``sav_nls.cli.main`` from this checkout's
-``src/`` and prints one ``<sha256>  <case>/<file>`` line per CSV.  Two
+``src/``, checks its exit code and prints one ``<sha256>  <case>/<file>`` line
+per CSV.  The last three cases are runs that fail (exit 3) and a sweep whose
+every entry fails, so the CSVs of failed runs are pinned too.  Two
 checkouts give the same output bytes exactly when the printed lines are the
 same, so comparing two commits is one ``diff`` of this script's output:
 
@@ -22,27 +24,33 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from sav_nls import cli  # noqa: E402
 
+# (output directory name, expected exit code, command, config, *flags)
 CASES = (
-    ("run", "configs/soliton_conservation.cfg"),
-    ("run", "perfbench/cases/soliton_long.cfg", "--T", "0.2"),
-    ("run", "perfbench/cases/planewave_linear.cfg", "--T", "0.01"),
-    ("sweep-time", "configs/time_sweep_k2.cfg"),
-    ("sweep-time", "configs/time_sweep_k3.cfg"),
-    ("sweep-space", "configs/space_sweep_p1.cfg"),
-    ("sweep-space", "configs/space_sweep_p2.cfg"),
-    ("sweep-space", "configs/space_sweep_p3.cfg"),
+    ("run:soliton_conservation", 0, "run", "configs/soliton_conservation.cfg"),
+    ("run:soliton_long", 0, "run", "perfbench/cases/soliton_long.cfg", "--T", "0.2"),
+    ("run:planewave_linear", 0, "run", "perfbench/cases/planewave_linear.cfg", "--T", "0.01"),
+    ("sweep-time:time_sweep_k2", 0, "sweep-time", "configs/time_sweep_k2.cfg"),
+    ("sweep-time:time_sweep_k3", 0, "sweep-time", "configs/time_sweep_k3.cfg"),
+    ("sweep-space:space_sweep_p1", 0, "sweep-space", "configs/space_sweep_p1.cfg"),
+    ("sweep-space:space_sweep_p2", 0, "sweep-space", "configs/space_sweep_p2.cfg"),
+    ("sweep-space:space_sweep_p3", 0, "sweep-space", "configs/space_sweep_p3.cfg"),
+    ("run:r_init_fails", 3, "run", "configs/soliton_conservation.cfg",
+     "--kappa", "-100", "--T", "0.2"),
+    ("run:newton_fails", 3, "run", "configs/soliton_conservation.cfg",
+     "--T", "0.4", "--max-newton-iters", "2"),
+    ("sweep-time:newton_fails", 0, "sweep-time", "configs/time_sweep_k2.cfg",
+     "--max-newton-iters", "1"),
 )
 
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        for command, config, *flags in CASES:
-            name = f"{command}:{Path(config).stem}"
+        for name, expected, command, config, *flags in CASES:
             out = Path(tmp) / name
             code = cli.main([command, "--config", str(ROOT / config),
                              "--out-dir", str(out), *flags])
-            if code != cli.EXIT_OK:
-                sys.exit(f"{name} exited with {code}")
+            if code != expected:
+                sys.exit(f"{name} exited with {code}, expected {expected}")
             for csv in sorted(out.glob("*.csv")):
                 digest = hashlib.sha256(csv.read_bytes()).hexdigest()
                 print(f"{digest}  {name}/{csv.name}", flush=True)
