@@ -16,10 +16,11 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import problems
+from .collocation import gauss_rule
 from .diagnostics import (ConvergenceTable, InternalMassObserver, RunRecorder,
                           TrajectoryErrorObserver)
 from .errors import ConfigurationError, NumericalError, UsageError
-from .fem import DIRICHLET, PERIODIC, build_space
+from .fem import PERIODIC, build_space, reference_quadrature
 from .model import power_law
 from .stepper import StepperConfig, integrate, num_slabs
 
@@ -47,8 +48,8 @@ class ExperimentConfig:
     q: float = 3.0
     c0: float = 1.0
     bc: str = PERIODIC
-    newton_tol: float = 1e-10
-    max_newton_iters: int = 25
+    newton_tol: float = StepperConfig.newton_tol
+    max_newton_iters: int = StepperConfig.max_newton_iters
     nq: int = 0                  # 0 = default p+2
     tau_list: tuple[float, ...] = ()
     M_list: tuple[int, ...] = ()
@@ -136,8 +137,6 @@ def parse_config(path=None, overrides=None):
     for key in _REQUIRED:
         if getattr(cfg, key) is None:
             raise UsageError(f"missing required config key '{key}'")
-    if cfg.bc not in (PERIODIC, DIRICHLET):
-        raise UsageError(f"bc must be '{PERIODIC}' or '{DIRICHLET}', got '{cfg.bc}'")
     try:
         num_slabs(cfg.T, cfg.tau)
     except ConfigurationError as exc:
@@ -147,23 +146,29 @@ def parse_config(path=None, overrides=None):
 
 def build_problem(cfg):
     """(Problem, Nonlinearity) for a config; exact solution only when valid."""
-    if cfg.problem == problems.SOLITON:
-        prob = problems.soliton(a=cfg.a, b=cfg.b)
-        if (cfg.kappa, cfg.q) != (2.0, 3.0):
-            prob = problems.Problem(name=prob.name, a=prob.a, b=prob.b,
-                                    kappa=cfg.kappa, q=cfg.q, u0=prob.u0)
-    else:
-        prob = problems.plane_wave(kappa=cfg.kappa, q=cfg.q, a=cfg.a, b=cfg.b)
-    nl = power_law(cfg.kappa, cfg.q, cfg.c0)
-    return prob, nl
+    prob = _PROBLEMS[cfg.problem](a=cfg.a, b=cfg.b, kappa=cfg.kappa, q=cfg.q)
+    return prob, power_law(cfg.kappa, cfg.q, cfg.c0)
 
 
-def _integrate(cfg, prob, nl, observers):
-    """Integrate cfg's problem with the observers; the NumericalError that
-    ended the run, or None."""
+def _prepare(cfg):
+    """(problem, nonlinearity, space, StepperConfig) of a config, with the
+    slab count, k and nq checked, so that a rejected configuration raises
+    before any output exists."""
     space = build_space(cfg.a, cfg.b, cfg.M, cfg.p, cfg.bc)
+    prob, nl = build_problem(cfg)
     stepper_cfg = StepperConfig(tau=cfg.tau, k=cfg.k, newton_tol=cfg.newton_tol,
                                 max_newton_iters=cfg.max_newton_iters)
+    num_slabs(cfg.T, cfg.tau)
+    gauss_rule(cfg.k)
+    if cfg.nq:
+        reference_quadrature(cfg.nq)
+    return prob, nl, space, stepper_cfg
+
+
+def _integrate(cfg, setup, observers):
+    """Integrate the problem that _prepare(cfg) built with the observers; the
+    NumericalError that ended the run, or None."""
+    prob, nl, space, stepper_cfg = setup
     try:
         integrate(prob.u0, stepper_cfg, space, nl, cfg.T, observers=observers,
                   nq=cfg.nq or None)
@@ -201,11 +206,12 @@ def run_single(cfg, out_dir=".", check=False):
     Returns an exit code: 0 when every slab converged (and, with check=True,
     every conservation assertion passed), 3 on numerical failure.
     """
+    setup = _prepare(cfg)
     _make_out_dir(out_dir)
-    prob, nl = build_problem(cfg)
+    prob = setup[0]
     recorder = RunRecorder(exact=prob.exact, exact_grad=prob.exact_grad)
     internal = InternalMassObserver()
-    failure = _integrate(cfg, prob, nl, (recorder, internal))
+    failure = _integrate(cfg, setup, (recorder, internal))
 
     rows = []
     ref = recorder.records[0] if recorder.records else None
@@ -254,29 +260,10 @@ def run_single(cfg, out_dir=".", check=False):
 
 def _sweep_entry(cfg):
     """One sweep run (executed possibly in a worker process)."""
-    prob, nl = build_problem(cfg)
-    if prob.exact is None:
-        raise UsageError("convergence sweeps need a problem with an exact solution")
-    observer = TrajectoryErrorObserver(prob.exact, prob.exact_grad)
-    failure = _integrate(cfg, prob, nl, (observer,))
+    setup = _prepare(cfg)
+    observer = TrajectoryErrorObserver(setup[0].exact, setup[0].exact_grad)
+    failure = _integrate(cfg, setup, (observer,))
     return (observer.linf_h1, "") if failure is None else (np.nan, str(failure))
-
-
-def _sweep_workers(n_entries):
-    env = os.environ.get("SAV_NLS_THREADS")
-    try:
-        limit = int(env) if env else (os.cpu_count() or 1)
-    except ValueError as exc:
-        raise UsageError(f"SAV_NLS_THREADS must be an integer, got {env!r}") from exc
-    return max(1, min(limit, n_entries))
-
-
-def _run_sweep(jobs):
-    workers = _sweep_workers(len(jobs))
-    if workers == 1:
-        return [_sweep_entry(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_entry, jobs))
 
 
 # Sweep key -> (study name, fixed-degree column, EOC parameter, swept-value cell).
@@ -296,9 +283,19 @@ def run_sweep(cfg, key, out_dir="."):
         raise UsageError(f"sweep-{study} needs a nonempty {key}_list")
     runs = [replace(cfg, **{key: value}) for value in values]
     for run in runs:
-        num_slabs(run.T, run.tau)
+        if _prepare(run)[0].exact is None:
+            raise UsageError("convergence sweeps need a problem with an exact solution")
+    env = os.environ.get("SAV_NLS_THREADS")
+    try:
+        workers = max(1, min(int(env) if env else (os.cpu_count() or 1), len(runs)))
+    except ValueError as exc:
+        raise UsageError(f"SAV_NLS_THREADS must be an integer, got {env!r}") from exc
     _make_out_dir(out_dir)
-    results = _run_sweep(runs)
+    if workers == 1:
+        results = [_sweep_entry(run) for run in runs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_sweep_entry, runs))
     table = ConvergenceTable.from_errors([eoc_param(v) for v in values], [r[0] for r in results])
     rows = [[str(getattr(cfg, fixed)), cell(value), _fmt(err) if not msg else f"failed: {msg}",
              _fmt(order)]
@@ -306,11 +303,6 @@ def run_sweep(cfg, key, out_dir="."):
     _write_csv(os.path.join(out_dir, f"{study}_convergence.csv"),
                [fixed, key, "linf_h1_error", "eoc"], rows)
     return table
-
-
-def _overrides_from_args(args):
-    return {key: getattr(args, f"cfg_{key}") for key in _PARSERS
-            if getattr(args, f"cfg_{key}", None) is not None}
 
 
 def main(argv=None):
@@ -335,7 +327,7 @@ def main(argv=None):
 
     try:
         args = parser.parse_args(argv)
-        cfg = parse_config(args.config, _overrides_from_args(args))
+        cfg = parse_config(args.config, {key: getattr(args, f"cfg_{key}") for key in _PARSERS})
         if args.sweep_key is None:
             return run_single(cfg, out_dir=args.out_dir, check=args.check)
         run_sweep(cfg, args.sweep_key, out_dir=args.out_dir)

@@ -142,10 +142,6 @@ class SlabPolynomial:
     slab: tuple
     nodes: np.ndarray
 
-    @property
-    def order(self):
-        return len(self.nodes) - 1
-
     def _sigma(self, t):
         t0, t1 = self.slab
         return (2.0 * np.asarray(t, dtype=float) - t0 - t1) / (t1 - t0)

@@ -14,62 +14,35 @@ import numpy as np
 from .errors import ConfigurationError, ModelError
 from .fem import integrate_density
 
-POWER = "power"
-CUSTOM = "custom"
-
 _FPRIME_CHECK_POINTS = (0.1, 0.5, 1.0, 2.0)
 _CLAMP_RADIUS = 1e-14
 
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Pair (f, F) with F' = f, plus the SAV constant c0 > 0.
+    """f, its antiderivative F (F' = f) and its derivative fp = f', as
+    callables of s = |u|^2, plus the SAV constant c0 > 0.
 
-    Power-law kind: f(s) = kappa * s^((q-1)/2), F(s) = kappa * 2/(q+1) *
-    s^((q+1)/2); the sign/strength of the model is folded into kappa
-    (kappa > 0 "focusing-style" forcing term in this sign convention,
-    kappa = 0 the free Schrodinger equation).
+    `power_law` also records its kappa and q; they are None otherwise.
     """
 
-    kind: str
+    f: callable
+    F: callable
+    fp: callable
     c0: float = 1.0
-    kappa: float = 0.0
-    q: float = 3.0
-    f_fn: callable = None
-    F_fn: callable = None
-    fp_fn: callable = None
+    kappa: float = None
+    q: float = None
 
     def __post_init__(self):
         if self.c0 <= 0:
             raise ConfigurationError(f"c0={self.c0} must be positive")
-        if self.kind == POWER:
-            if self.q <= 1:
-                raise ConfigurationError(f"power-law exponent q={self.q} must be > 1")
-        elif self.kind == CUSTOM:
-            if self.f_fn is None or self.F_fn is None or self.fp_fn is None:
-                raise ConfigurationError("custom nonlinearity needs f, F and f'")
-        else:
-            raise ConfigurationError(f"unknown nonlinearity kind {self.kind!r}")
+        if not all(callable(fn) for fn in (self.f, self.F, self.fp)):
+            raise ConfigurationError("custom nonlinearity needs f, F and f'")
         _check_antiderivative(self)
 
     @property
     def is_linear(self):
-        return self.kind == POWER and self.kappa == 0.0
-
-    def f(self, s):
-        if self.kind == POWER:
-            return self.kappa * np.power(s, (self.q - 1.0) / 2.0)
-        return self.f_fn(s)
-
-    def F(self, s):
-        if self.kind == POWER:
-            return self.kappa * (2.0 / (self.q + 1.0)) * np.power(s, (self.q + 1.0) / 2.0)
-        return self.F_fn(s)
-
-    def fp(self, s):
-        if self.kind == POWER:
-            return self.kappa * ((self.q - 1.0) / 2.0) * np.power(s, (self.q - 3.0) / 2.0)
-        return self.fp_fn(s)
+        return self.kappa == 0.0
 
 
 def _check_antiderivative(nl, step=1e-6, rtol=1e-6):
@@ -83,11 +56,21 @@ def _check_antiderivative(nl, step=1e-6, rtol=1e-6):
 
 
 def power_law(kappa, q, c0=1.0):
-    return Nonlinearity(kind=POWER, kappa=float(kappa), q=float(q), c0=float(c0))
+    """f(s) = kappa * s^((q-1)/2), F(s) = kappa * 2/(q+1) * s^((q+1)/2); kappa
+    carries the sign (kappa > 0 "focusing-style" forcing term in this sign
+    convention, kappa = 0 the free Schrodinger equation)."""
+    kappa, q = float(kappa), float(q)
+    if q <= 1:
+        raise ConfigurationError(f"power-law exponent q={q} must be > 1")
+    return Nonlinearity(
+        f=lambda s: kappa * np.power(s, (q - 1.0) / 2.0),
+        F=lambda s: kappa * (2.0 / (q + 1.0)) * np.power(s, (q + 1.0) / 2.0),
+        fp=lambda s: kappa * ((q - 1.0) / 2.0) * np.power(s, (q - 3.0) / 2.0),
+        c0=float(c0), kappa=kappa, q=q)
 
 
 def custom_nonlinearity(f, F, fp, c0=1.0):
-    return Nonlinearity(kind=CUSTOM, f_fn=f, F_fn=F, fp_fn=fp, c0=float(c0))
+    return Nonlinearity(f=f, F=F, fp=fp, c0=float(c0))
 
 
 @dataclass(frozen=True)
@@ -127,15 +110,15 @@ def g_derivatives(u_val, denom, nl, clamp_counter=None):
     """
     u_val = np.asarray(u_val, dtype=np.complex128)
     s = np.abs(u_val) ** 2
-    singular = nl.kind == POWER and nl.q < 3
-    mask = s < _CLAMP_RADIUS ** 2 if singular else None
-    if mask is not None and np.any(mask):
+    mask = s < _CLAMP_RADIUS ** 2 if nl.q is not None and nl.q < 3 else None
+    clamped = mask is not None and np.any(mask)
+    if clamped:
         s = np.where(mask, 1.0, s)  # placeholder, overwritten below
     fs = nl.f(s)
     fps = nl.fp(s)
     g1 = (fs + fps * s) / denom
     g2 = fps * u_val ** 2 / denom
-    if mask is not None and np.any(mask):
+    if clamped:
         g1 = np.where(mask, 0.0, g1)
         g2 = np.where(mask, 0.0, g2)
         if clamp_counter is not None:

@@ -26,11 +26,12 @@ class Problem:
     exact_grad: callable = None
 
 
-def soliton(a=-20.0, b=20.0):
+def soliton(a=-20.0, b=20.0, kappa=2.0, q=3.0):
     """Cubic focusing benchmark: u = sech(x + 4t) exp(i(2x + 3t)).
 
     Solves i u_t - u_xx - 2|u|^2 u = 0 (kappa=2, q=3); the initial profile
-    sech(x) e^{2ix} travels left with unchanged shape.
+    sech(x) e^{2ix} travels left with unchanged shape.  Any other (kappa, q)
+    keeps the initial profile and has no exact solution.
     """
     def u0(x):
         return sech(x) * np.exp(2j * x)
@@ -41,7 +42,9 @@ def soliton(a=-20.0, b=20.0):
     def exact_grad(x, t):
         return (2j - np.tanh(x + 4.0 * t)) * exact(x, t)
 
-    return Problem(name=SOLITON, a=a, b=b, kappa=2.0, q=3.0,
+    if (kappa, q) != (2.0, 3.0):
+        return Problem(name=SOLITON, a=a, b=b, kappa=kappa, q=q, u0=u0)
+    return Problem(name=SOLITON, a=a, b=b, kappa=kappa, q=q,
                    u0=u0, exact=exact, exact_grad=exact_grad)
 
 

@@ -81,11 +81,17 @@ def test_bad_value_type(tmp_path):
         parse_config(path)
 
 
-def test_build_problem_drops_exact_for_modified_kappa(tmp_path):
-    cfg = parse_config(_write(tmp_path, MINIMAL), {"kappa": "1.0"})
+@pytest.mark.parametrize("overrides,has_exact", [
+    pytest.param({"kappa": "1.0"}, False, id="kappa-1"),
+    pytest.param({"q": "5", "kappa": "1.0"}, False, id="q-5"),
+    pytest.param({"kappa": "2", "q": "3"}, True, id="cubic"),
+])
+def test_build_problem_drops_exact_for_modified_kappa(tmp_path, overrides, has_exact):
+    cfg = parse_config(_write(tmp_path, MINIMAL), overrides)
     prob, nl = build_problem(cfg)
-    assert prob.exact is None
-    assert nl.kappa == 1.0
+    assert (prob.exact is not None) == has_exact
+    assert (prob.exact_grad is not None) == has_exact
+    assert (nl.kappa, nl.q) == (prob.kappa, prob.q) == (cfg.kappa, cfg.q)
 
 
 TINY_RUN = """
@@ -277,6 +283,36 @@ def test_zero_newton_iterations_is_usage_error(tmp_path, capsys):
     assert main(["run", "--config", cfg_path, "--max-newton-iters", "0",
                  "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
     assert "max_newton_iters=0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads,argv,message", [
+    ("1", ["run", "--max-newton-iters", "0"], "configuration error: max_newton_iters=0"),
+    ("1", ["run", "--newton-tol", "0"], "configuration error: newton_tol=0.0"),
+    ("1", ["run", "--k", "9"], "configuration error: gauss rule order k=9"),
+    ("1", ["run", "--p", "7"], "configuration error: degree=7"),
+    ("1", ["run", "--a", "5", "--b", "1"], "configuration error: domain endpoints invalid"),
+    ("1", ["run", "--problem", "planewave", "--a", "1", "--b", "1"],
+     "configuration error: domain endpoints invalid"),
+    ("1", ["run", "--q", "0.5"], "configuration error: power-law exponent q=0.5"),
+    ("1", ["run", "--c0", "-1"], "configuration error: c0=-1.0"),
+    ("1", ["run", "--nq", "-1"], "configuration error: quadrature point count nq=-1"),
+    ("1", ["run", "--bc", "neumann"], "configuration error: bc='neumann'"),
+    ("1", ["sweep-space", "--M-list", "1,40"], "configuration error: num_elements=1"),
+    ("1", ["sweep-time", "--tau-list", "0.1,0.3"], "configuration error: T=0.2 is not"),
+    ("1", ["sweep-time", "--kappa", "1"], "usage error: convergence sweeps need"),
+    ("two", ["sweep-time"], "usage error: SAV_NLS_THREADS"),
+])
+def test_rejected_configuration_writes_nothing(tmp_path, capsys, monkeypatch, threads, argv,
+                                               message):
+    monkeypatch.setenv("SAV_NLS_THREADS", threads)
+    command, *flags = argv
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, SWEEP), "--out-dir", str(out),
+                 *flags]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value,message", [

@@ -27,6 +27,11 @@ def test_custom_antiderivative_check():
                             fp=lambda s: 2.0 + 0 * s)
 
 
+def test_custom_nonlinearity_needs_callables():
+    with pytest.raises(ConfigurationError, match="needs f, F and f'"):
+        custom_nonlinearity(f=None, F=lambda s: s ** 2, fp=lambda s: 2.0 + 0 * s)
+
+
 def test_r_init_zero_data():
     space = build_space(0.0, 1.0, 4, 1, PERIODIC)
     nl = power_law(1.0, 3.0, c0=1.0)

@@ -2,8 +2,10 @@
 
 Runs each case in-process through ``sav_nls.cli.main`` from this checkout's
 ``src/``, checks its exit code and prints one ``<sha256>  <case>/<file>`` line
-per CSV.  The last three cases are runs that fail (exit 3) and a sweep whose
-every entry fails, so the CSVs of failed runs are pinned too.  Two
+per CSV.  The two ``power_law`` runs pin a non-cubic power law and the
+``q < 3`` branch of the nonlinearity.  The last three cases are runs that
+fail (exit 3) and a sweep whose every entry fails, so the CSVs of failed
+runs are pinned too.  Two
 checkouts give the same output bytes exactly when the printed lines are the
 same, so comparing two commits is one ``diff`` of this script's output:
 
@@ -29,6 +31,10 @@ CASES = (
     ("run:soliton_conservation", 0, "run", "configs/soliton_conservation.cfg"),
     ("run:soliton_long", 0, "run", "perfbench/cases/soliton_long.cfg", "--T", "0.2"),
     ("run:planewave_linear", 0, "run", "perfbench/cases/planewave_linear.cfg", "--T", "0.01"),
+    ("run:power_law_q5", 0, "run", "configs/soliton_conservation.cfg",
+     "--q", "5", "--kappa", "1"),
+    ("run:power_law_q2_dirichlet", 0, "run", "configs/soliton_conservation.cfg",
+     "--q", "2", "--kappa", "-1", "--bc", "dirichlet"),
     ("sweep-time:time_sweep_k2", 0, "sweep-time", "configs/time_sweep_k2.cfg"),
     ("sweep-time:time_sweep_k3", 0, "sweep-time", "configs/time_sweep_k3.cfg"),
     ("sweep-space:space_sweep_p1", 0, "sweep-space", "configs/space_sweep_p1.cfg"),
