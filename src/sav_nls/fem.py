@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .collocation import gauss_rule, lagrange_basis, lagrange_basis_deriv
+from .collocation import MAX_ORDER, gauss_rule, lagrange_basis, lagrange_basis_deriv
 from .errors import ConfigurationError, InputError
 
 PERIODIC = "periodic"
@@ -83,8 +83,8 @@ def build_space(a, b, num_elements, degree, bc):
 
 def reference_quadrature(nq):
     """nq-point Gauss rule mapped to the reference element [0, 1]."""
-    if nq < 1:
-        raise ConfigurationError(f"quadrature point count nq={nq} must be >= 1")
+    if not 1 <= nq <= MAX_ORDER:
+        raise ConfigurationError(f"quadrature point count nq={nq} outside [1, {MAX_ORDER}]")
     rule = gauss_rule(nq)
     return 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights
 

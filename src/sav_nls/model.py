@@ -3,8 +3,9 @@
 The auxiliary scalar is r = sqrt(int F(|u|^2)/2 dx + c0); the modified
 nonlinear term is r * g(u) * u with g(u) = f(|u|^2) / denom, where denom is
 that same square root evaluated at the current u.  g1/g2 are the Wirtinger
-derivatives of g(u)u with the denominator held fixed, as used by the Newton
-linearization.
+derivatives of g(u)u with the denominator held fixed: the pointwise part of
+the Newton linearization, to which the stepper adds the denominator's
+derivative.
 """
 
 from dataclasses import dataclass
@@ -100,7 +101,9 @@ def g_times_u(u_val, denom, nl):
 
 
 def g_derivatives(u_val, denom, nl, clamp_counter=None):
-    """Wirtinger derivatives (g1, g2) of g(u)u with the denominator frozen.
+    """Wirtinger derivatives (g1, g2) of g(u)u with the denominator frozen: the
+    pointwise part of the Jacobian; the stepper adds the denominator's rank-one
+    term per stage.
 
     With s = |u|^2: g1 = (f(s) + f'(s) s) / denom and g2 = f'(s) u^2 / denom.
     For power laws with q < 3 the derivative is singular at u = 0; such

@@ -9,10 +9,12 @@ differentiation matrix.  Stage equations, for j = 1..k:
     dr_j - Re<N(U_j), du_j> / 2   = 0
 
 with du/dr the polynomial time derivatives at the Gauss points and N(U) the
-quadrature load vector of g(U) U.  The Newton Jacobian freezes the global
-SAV denominator (pointwise g1/g2 only), so the linearization of the
-conjugate-carrying g2 term is assembled over real and imaginary parts; the
-linear (kappa = 0) problem short-circuits to one complex solve.
+quadrature load vector of g(U) U.  The Newton Jacobian is exact: the
+pointwise g1/g2 part, whose conjugate-carrying g2 term is assembled over real
+and imaginary parts, plus the rank-one derivative of each stage's SAV
+denominator d_j, folded into the border rows by solving for
+z_j = dR_j - R_j sigma_j / (2 d_j) with sigma_j = Re<N_j, dU_j>.  The linear
+(kappa = 0) problem short-circuits to one complex solve.
 """
 
 from dataclasses import dataclass, field
@@ -193,7 +195,8 @@ def _real_form_layout(pattern, k):
 
 
 def _assemble_newton_system(unknowns, asm, scheme, tau, data):
-    """Bordered real-form Jacobian and right-hand side at the current iterate."""
+    """Bordered real-form Jacobian and right-hand side at the current iterate, in
+    the unknowns (dU, z) with z = dR - R sigma / (2 d); see the module docstring."""
     n = asm.space.num_dofs
     k = len(unknowns.r_stages)
     R = unknowns.r_stages
@@ -214,8 +217,12 @@ def _assemble_newton_system(unknowns, asm, scheme, tau, data):
     B[stages, :, :, stages] = -N_parts
     B = B.reshape(2 * k * n, k)
 
-    C = np.zeros((k, k, 2, n))
-    C += (-0.5 * alpha)[:, :, None, None] * N_parts[:, None]
+    # with dR = z + R sigma / (2 d), B's column -N_j times z_j carries the denominator's
+    # term R_j N_j sigma_j / (2 d_j) of the u rows; border row j gains lift[j, m] sigma_m
+    lift = alpha * (R / (2.0 * data["denoms"])) + np.diag(
+        0.25 * np.real(np.einsum("ki,ki->k", N, du.conj())) / data["denoms"])
+    C = ((-0.5 * alpha)[:, :, None, None] * N_parts[:, None]
+         + lift[:, :, None, None] * N_parts[None])
     for j in range(k):
         re_du, im_du = du[j].real, du[j].imag
         C[j, j, 0] += -0.5 * (G1[j] @ re_du + X2[j] @ re_du + Y2[j] @ im_du)
@@ -246,8 +253,10 @@ def newton_step(state, unknowns, asm, scheme, nl, tau):
     data = _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian=True)
     sol = solve_bordered(_assemble_newton_system(unknowns, asm, scheme, tau, data))
     delta_u = _complex_parts(sol.x_main, len(unknowns.r_stages))
-    updated = SlabUnknowns(unknowns.u_stages + delta_u, unknowns.r_stages + sol.x_border)
-    inc = _increment_norm(asm, delta_u, sol.x_border)
+    sigma = np.real(np.einsum("ki,ki->k", data["N"].conj(), delta_u))
+    delta_r = sol.x_border + unknowns.r_stages / (2.0 * data["denoms"]) * sigma
+    updated = SlabUnknowns(unknowns.u_stages + delta_u, unknowns.r_stages + delta_r)
+    inc = _increment_norm(asm, delta_u, delta_r)
     if not np.isfinite(inc):
         raise StepError("Newton increment is not finite", increment_history=[inc])
     return updated, inc, data["clamped"]

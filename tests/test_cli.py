@@ -301,6 +301,8 @@ def test_zero_newton_iterations_is_usage_error(tmp_path, capsys):
     ("1", ["sweep-time", "--tau-list", "0.1,0.3"], "configuration error: T=0.2 is not"),
     ("1", ["sweep-time", "--kappa", "1"], "usage error: convergence sweeps need"),
     ("two", ["sweep-time"], "usage error: SAV_NLS_THREADS"),
+    # last, so that the ids of the cases above keep their index
+    ("1", ["run", "--nq", "9"], "configuration error: quadrature point count nq=9 outside"),
 ])
 def test_rejected_configuration_writes_nothing(tmp_path, capsys, monkeypatch, threads, argv,
                                                message):
