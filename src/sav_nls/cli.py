@@ -232,8 +232,8 @@ def run_single(cfg, out_dir=".", check=False):
                        and recorder.max_mass_drift <= MASS_DRIFT_REL * abs(ref.mass)
                        and recorder.max_sav_energy_drift <= SAV_ENERGY_DRIFT_ABS)
     last = recorder.records[-1] if recorder.records else None
-    linf_h1 = max((r.h1_error for r in recorder.records if r.h1_error is not None),
-                  default=None)
+    errors = [r.h1_error for r in recorder.records if r.h1_error is not None]
+    linf_h1 = np.max(errors) if errors else None   # NaN propagates; max() would drop it
     _write_csv(os.path.join(out_dir, "summary.csv"),
                ["T", "l2_error", "h1_error", "linf_h1_error", "max_mass_drift",
                 "max_sav_energy_drift", "max_newton_iters", "conservation_ok",

@@ -126,11 +126,11 @@ class RunRecorder:
 
     @property
     def max_mass_drift(self):
-        return max(abs(r.mass - self._ref.mass) for r in self.records)
+        return float(np.max([abs(r.mass - self._ref.mass) for r in self.records]))   # keeps NaN
 
     @property
     def max_sav_energy_drift(self):
-        return max(abs(r.sav_energy - self._ref.sav_energy) for r in self.records)
+        return float(np.max([abs(r.sav_energy - self._ref.sav_energy) for r in self.records]))
 
     @property
     def max_newton_iters(self):
@@ -151,7 +151,7 @@ class TrajectoryErrorObserver:
         _, h1 = error_norms(self._asm.space, u,
                             lambda x: self.exact(x, t),
                             lambda x: self.exact_grad(x, t))
-        self.linf_h1 = max(self.linf_h1, h1)
+        self.linf_h1 = float(np.maximum(self.linf_h1, h1))   # NaN propagates
 
     def start(self, state0, asm, scheme, nl):
         self._asm = asm
@@ -184,5 +184,5 @@ class InternalMassObserver:
         value, ok = internal_mass_check(self._asm, report.stages.u_stages,
                                         self._weights, self._u0_mass)
         self.all_ok = self.all_ok and ok
-        self.worst_ratio = max(self.worst_ratio, value / self._u0_mass)
+        self.worst_ratio = float(np.maximum(self.worst_ratio, value / self._u0_mass))
 

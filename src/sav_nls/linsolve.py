@@ -45,21 +45,26 @@ class BorderedSolution(NamedTuple):
     x_main: np.ndarray
     x_border: np.ndarray
     residual: float
+    lu: object          # the factorization used: SuperLU of K, W = K^-1 B and
+    W: np.ndarray       # the Schur complement S = Dmat - C W
+    S: np.ndarray
 
 
-def solve_bordered(system):
+def solve_bordered(system, factorization=None):
     """Solve the bordered system by block elimination with a Schur complement.
 
     Solves K W = B and K y = rhs_main, forms S = Dmat - C W, solves
-    S x_border = rhs_border - C y, and back-substitutes.  The relative
+    S x_border = rhs_border - C y, and back-substitutes; `factorization`, the (lu, W, S)
+    of a solve with the same K, B, C and Dmat, replaces factoring K, W and S.  The relative
     residual of the full system is verified against RESIDUAL_TOL and returned.
     """
-    lu = factor(system.K)
+    if factorization is None:
+        lu = factor(system.K)
+        W = lu.solve(system.B)
+        S = system.Dmat - system.C @ W
+    else:
+        lu, W, S = factorization
     y = lu.solve(system.rhs_main)
-    W = lu.solve(system.B)
-    if W.ndim == 1:
-        W = W[:, None]
-    S = system.Dmat - system.C @ W
     try:
         x_border = np.linalg.solve(S, system.rhs_border - system.C @ y)
     except np.linalg.LinAlgError as exc:
@@ -72,4 +77,4 @@ def solve_bordered(system):
     residual = float(np.sqrt(np.linalg.norm(r_main) ** 2 + np.linalg.norm(r_border) ** 2) / scale)
     if residual > RESIDUAL_TOL:
         raise SolverError(f"bordered solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    return BorderedSolution(x_main=x_main, x_border=x_border, residual=residual)
+    return BorderedSolution(x_main, x_border, residual, lu, W, S)

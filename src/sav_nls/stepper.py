@@ -13,11 +13,12 @@ quadrature load vector of g(U) U.  The Newton Jacobian is exact: the
 pointwise g1/g2 part, whose conjugate-carrying g2 term is assembled over real
 and imaginary parts, plus the rank-one derivative of each stage's SAV
 denominator d_j, folded into the border rows by solving for
-z_j = dR_j - R_j sigma_j / (2 d_j) with sigma_j = Re<N_j, dU_j>.  The linear
-(kappa = 0) problem short-circuits to one complex solve.
+z_j = dR_j - R_j sigma_j / (2 d_j) with sigma_j = Re<N_j, dU_j>.  A nearly
+converged exact step is followed by a chord step with its factorization (see
+_newton).  The linear (kappa = 0) problem short-circuits to one complex solve.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,6 +88,7 @@ class StepReport:
     increment_history: list
     residual_final: float
     stages: SlabUnknowns
+    factorizations: int   # main-block factorizations, counted as iterations are
     warnings: list = field(default_factory=list)
 
 
@@ -248,18 +250,34 @@ def _increment_norm(asm, delta_u, delta_r):
     return float(max(max(l2), np.abs(delta_r).max()))
 
 
-def newton_step(state, unknowns, asm, scheme, nl, tau):
-    """One Newton update; returns (unknowns, increment_norm, clamped_points)."""
-    data = _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian=True)
-    sol = solve_bordered(_assemble_newton_system(unknowns, asm, scheme, tau, data))
-    delta_u = _complex_parts(sol.x_main, len(unknowns.r_stages))
-    sigma = np.real(np.einsum("ki,ki->k", data["N"].conj(), delta_u))
-    delta_r = sol.x_border + unknowns.r_stages / (2.0 * data["denoms"]) * sigma
-    updated = SlabUnknowns(unknowns.u_stages + delta_u, unknowns.r_stages + delta_r)
+def newton_step(state, unknowns, asm, scheme, nl, tau, kept=None):
+    """One Newton update; returns (unknowns, increment_norm, clamped_points).  An empty
+    list `kept` receives this exact step's linearization; a full one makes a chord step."""
+    exact = not kept
+    data = _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian=exact)
+    if not exact:
+        (R, N, denoms), system, factorization = kept.pop()
+        res_u, res_r = _residual_from_data(unknowns, data)
+        x_main, x_border = solve_bordered(
+            replace(system, rhs_main=-_real_parts(res_u), rhs_border=-res_r), factorization)[:2]
+    # allocated before this step factors: a long-lived array above SuperLU's mostly
+    # untouched workspace on glibc's brk heap pins it there (peak RSS rose 5-20%)
+    updated = SlabUnknowns(unknowns.u_stages.copy(), unknowns.r_stages.copy())
+    if exact:
+        R, N, denoms = unknowns.r_stages, data["N"], data["denoms"]
+        system = _assemble_newton_system(unknowns, asm, scheme, tau, data)
+        x_main, x_border, _, *factorization = solve_bordered(system)
+        if kept is not None:
+            kept.append(((R, N, denoms), system, factorization))
+    delta_u = _complex_parts(x_main, len(R))
+    sigma = np.real(np.einsum("ki,ki->k", N.conj(), delta_u))
+    delta_r = x_border + R / (2.0 * denoms) * sigma
+    updated.u_stages += delta_u   # the bits of u + du
+    updated.r_stages += delta_r
     inc = _increment_norm(asm, delta_u, delta_r)
     if not np.isfinite(inc):
         raise StepError("Newton increment is not finite", increment_history=[inc])
-    return updated, inc, data["clamped"]
+    return updated, inc, data.get("clamped", 0)   # a chord step evaluates no g derivatives
 
 
 def _advance_linear(state, cfg, asm, scheme):
@@ -282,17 +300,22 @@ def _advance_linear(state, cfg, asm, scheme):
     return unknowns, [inc], _residual_norm(res_u, np.zeros(k)), []
 
 
-def _newton(state, unknowns, cfg, asm, scheme, nl, history):
-    """Newton iteration from `unknowns` until an increment norm is at most
-    newton_tol; returns (unknowns, clamped points).  Appends each increment to
-    `history`, inf while the step runs, so that a step that raises is counted."""
-    clamped_total = 0
+def _newton(state, unknowns, cfg, asm, scheme, nl, history, factored):
+    """Newton iteration from `unknowns` until an increment norm is at most newton_tol;
+    returns (unknowns, clamped points).  Appends each increment to `history`, inf while
+    the step runs, so that a step that raises is counted, and to `factored` whether it
+    factored.  A chord step follows an exact one with newton_tol < e <= sqrt(newton_tol)."""
+    clamped_total, kept = 0, []
     for _ in range(cfg.max_newton_iters):
         history.append(np.inf)
-        unknowns, history[-1], clamped = newton_step(state, unknowns, asm, scheme, nl, cfg.tau)
+        factored.append(not kept)
+        unknowns, history[-1], clamped = newton_step(state, unknowns, asm, scheme, nl,
+                                                     cfg.tau, kept)
         clamped_total += clamped
         if history[-1] <= cfg.newton_tol:
             return unknowns, clamped_total
+        if history[-1] ** 2 > cfg.newton_tol:
+            kept.clear()   # before the next exact step factors
     raise StepError(f"Newton did not converge in {cfg.max_newton_iters} iterations "
                     f"(last increment {history[-1]:.3e})", increment_history=history)
 
@@ -309,21 +332,22 @@ def advance(state, cfg, asm, scheme, nl, previous=None):
     tau, k = cfg.tau, cfg.k
     if nl.is_linear:
         unknowns, history, res_final, warnings = _advance_linear(state, cfg, asm, scheme)
+        factored = [True]   # the kappa = 0 block matrix, once
     else:
-        history, warnings = [], []
+        history, factored, warnings = [], [], []
         constant = start = SlabUnknowns(np.tile(state.u, (k, 1)), np.full(k, float(state.r)))
         if previous is not None:
             (prev_state, stages), E = previous, scheme.extrapolation_matrix
             start = SlabUnknowns(E @ np.vstack([prev_state.u, stages.u_stages]),
                                  E @ np.append(prev_state.r, stages.r_stages))
         try:
-            unknowns, clamped = _newton(state, start, cfg, asm, scheme, nl, history)
+            unknowns, clamped = _newton(state, start, cfg, asm, scheme, nl, history, factored)
         except NumericalError as exc:
             if start is constant:
                 raise
             warnings.append(f"restarted Newton from the constant value; the start from the "
                             f"previous slab's polynomial failed at step {len(history)}: {exc}")
-            unknowns, clamped = _newton(state, constant, cfg, asm, scheme, nl, history)
+            unknowns, clamped = _newton(state, constant, cfg, asm, scheme, nl, history, factored)
         if clamped:
             warnings.append(f"clamped singular g derivatives at {clamped} points")
         res_final = _residual_norm(*residual(state, unknowns, asm, scheme, nl, tau))
@@ -333,7 +357,8 @@ def advance(state, cfg, asm, scheme, nl, previous=None):
     r_end = float(e[0] * state.r + e[1:] @ unknowns.r_stages)
     new_state = SavState(u=u_end, r=r_end, t=state.t + tau)
     report = StepReport(iterations=len(history), increment_history=history,
-                        residual_final=res_final, stages=unknowns, warnings=warnings)
+                        residual_final=res_final, stages=unknowns,
+                        factorizations=sum(factored), warnings=warnings)
     return new_state, report
 
 

@@ -1,9 +1,11 @@
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sav_nls import cli
 from sav_nls.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_problem,
                          main, parse_config, run_single, run_sweep)
 from sav_nls.errors import (InputError, ModelError, NumericalError, SolverError,
@@ -123,6 +125,27 @@ def test_run_single_outputs(tmp_path):
     assert summary[0].startswith("T,l2_error,h1_error,linf_h1_error")
     fields = summary[1].split(",")
     assert fields[-1] == "1"  # converged
+
+
+def test_nan_error_sample_leaves_linf_h1_empty(tmp_path, monkeypatch):
+    # an exact solution that is NaN at t = 0.2 only: the summary's
+    # linf_h1_error is non-finite (written empty), not the maximum of the
+    # other samples, which Python's max would give
+    soliton = cli._PROBLEMS["soliton"]
+
+    def nan_at_t02(**kwargs):
+        prob = soliton(**kwargs)
+        def nan_at(fn):
+            return lambda x, t: fn(x, t) * (np.nan if abs(t - 0.2) < 1e-12 else 1.0)
+        return replace(prob, exact=nan_at(prob.exact), exact_grad=nan_at(prob.exact_grad))
+
+    monkeypatch.setitem(cli._PROBLEMS, "soliton", nan_at_t02)
+    out = tmp_path / "out"
+    assert run_single(parse_config(_write(tmp_path, TINY_RUN)), out_dir=str(out)) == EXIT_OK
+    h1 = [line.split(",")[6] for line in (out / "timeseries.csv").read_text().splitlines()[1:]]
+    assert [v == "" for v in h1] == [False, False, True, False]
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert summary[1].split(",")[3] == ""
 
 
 def test_run_single_reproducible_bytes(tmp_path):

@@ -133,3 +133,27 @@ def test_zero_initial_data_run_has_zero_drift():
     assert all(r.mass == 0.0 for r in rec.records)
     assert rec.max_mass_drift == 0.0
     assert rec.max_sav_energy_drift <= 1e-14
+
+
+def _nan_at(t_nan, fn):
+    """`fn(x, t)`, but NaN everywhere at time t_nan."""
+    return lambda x, t: np.full_like(fn(x, t), np.nan) if abs(t - t_nan) < 1e-12 else fn(x, t)
+
+
+def test_nan_sample_propagates_into_every_maximum():
+    # Python's max drops NaN (max(0.0, nan) == 0.0): an exact solution that is
+    # NaN at t = 0.2 only must make the trajectory error NaN, not the maximum
+    # of the other samples, and a NaN mass or SAV energy makes its drift NaN
+    prob = soliton()
+    nl = power_law(2.0, 3.0, c0=1.0)
+    space = build_space(prob.a, prob.b, 60, 2, PERIODIC)
+    exact, grad = _nan_at(0.2, prob.exact), _nan_at(0.2, prob.exact_grad)
+    rec = RunRecorder(exact=exact, exact_grad=grad)
+    err_obs = TrajectoryErrorObserver(exact, grad)
+    integrate(prob.u0, StepperConfig(tau=0.1, k=2), space, nl, 0.3, observers=(rec, err_obs))
+    assert [np.isnan(r.h1_error) for r in rec.records] == [False, False, True, False]
+    assert np.isnan(err_obs.linf_h1)
+    assert np.isfinite(rec.max_mass_drift) and np.isfinite(rec.max_sav_energy_drift)
+    rec.records[1].mass = np.nan
+    rec.records[2].sav_energy = np.nan
+    assert np.isnan(rec.max_mass_drift) and np.isnan(rec.max_sav_energy_drift)

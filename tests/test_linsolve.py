@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sav_nls import linsolve
 from sav_nls.errors import SolverError
 from sav_nls.fem import DIRICHLET, assemble_mass, assemble_stiffness, build_space
-from sav_nls.linsolve import BorderedSystem, factor, solve_bordered
+from sav_nls.linsolve import RESIDUAL_TOL, BorderedSystem, factor, solve_bordered
 
 
 def test_factor_identity():
@@ -105,3 +106,42 @@ def test_solve_bordered_deterministic():
     b = solve_bordered(sys)
     np.testing.assert_array_equal(a.x_main, b.x_main)
     np.testing.assert_array_equal(a.x_border, b.x_border)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kept_factorization_matches_a_fresh_solve(seed, monkeypatch):
+    # a new right-hand side solved with an earlier solve's (lu, W, S) gives the
+    # bits of a fresh solve of that system, factors nothing and reports the
+    # residual it checked
+    rng = np.random.default_rng(seed)
+    n, k = 40, 3
+    K = sp.csc_matrix(sp.random(n, n, density=0.15, random_state=rng) + n * sp.identity(n))
+    B, C = rng.standard_normal((n, k)), rng.standard_normal((k, n))
+    Dmat = rng.standard_normal((k, k)) + k * np.eye(k)
+    first = solve_bordered(BorderedSystem(K=K, B=B, C=C, Dmat=Dmat,
+                                          rhs_main=rng.standard_normal(n),
+                                          rhs_border=rng.standard_normal(k)))
+    system = BorderedSystem(K=K, B=B, C=C, Dmat=Dmat, rhs_main=rng.standard_normal(n),
+                            rhs_border=rng.standard_normal(k))
+    fresh = solve_bordered(system)
+    calls = []
+    monkeypatch.setattr(linsolve, "factor", lambda K: calls.append(K))
+    kept = solve_bordered(system, (first.lu, first.W, first.S))
+    assert calls == []
+    assert kept.lu is first.lu and kept.W is first.W and kept.S is first.S
+    np.testing.assert_array_equal(kept.x_main, fresh.x_main)
+    np.testing.assert_array_equal(kept.x_border, fresh.x_border)
+    assert kept.residual == fresh.residual <= RESIDUAL_TOL
+
+
+def test_kept_factorization_of_another_matrix_fails_the_residual_check():
+    rng = np.random.default_rng(5)
+    n, k = 20, 2
+    K = sp.csc_matrix(rng.standard_normal((n, n)) + n * np.eye(n))
+    sys = BorderedSystem(K=K, B=rng.standard_normal((n, k)), C=rng.standard_normal((k, n)),
+                         Dmat=np.eye(k) * 3.0, rhs_main=rng.standard_normal(n),
+                         rhs_border=rng.standard_normal(k))
+    other = solve_bordered(BorderedSystem(K=2.0 * K, B=sys.B, C=sys.C, Dmat=sys.Dmat,
+                                          rhs_main=sys.rhs_main, rhs_border=sys.rhs_border))
+    with pytest.raises(SolverError, match="residual"):
+        solve_bordered(sys, (other.lu, other.W, other.S))

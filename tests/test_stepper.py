@@ -6,11 +6,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sav_nls import fem, stepper
+from sav_nls import fem, linsolve, stepper
 from sav_nls.cli import build_problem, parse_config
 from sav_nls.collocation import SlabPolynomial, collocation_scheme, temporal_l2_project
 from sav_nls.diagnostics import InternalMassObserver, RunRecorder
-from sav_nls.errors import ConfigurationError, StepError
+from sav_nls.errors import ConfigurationError, SolverError, StepError
 from sav_nls.fem import DIRICHLET, PERIODIC, build_space, interpolate
 from sav_nls.model import SavState, custom_nonlinearity, power_law, r_init
 from sav_nls.problems import soliton
@@ -299,6 +299,104 @@ def test_newton_converges_quadratically():
         for prev, nxt in zip(e, e[1:]):
             if prev < 1e-2:
                 assert nxt <= C * prev ** 2 + 1e-12, e
+
+
+def test_confirming_newton_step_reuses_the_last_factorization(monkeypatch):
+    # the first 3 slabs of configs/soliton_conservation.cfg: a slab whose last
+    # exact increment e has newton_tol < e and e^2 <= newton_tol ends on a chord
+    # step with that step's factorization (slab 1: 6.6e-7 -> 3.0e-15, slab 3:
+    # 1.2e-10 -> 3.6e-15); slab 2 ends on an exact step (1.2e-5 -> 7.2e-11,
+    # and 1.2e-5^2 > 1e-10).  StepReport.factorizations counts the real ones
+    calls = []
+    factor = linsolve.factor
+    monkeypatch.setattr(linsolve, "factor", lambda K: calls.append(1) or factor(K))
+    cfg = parse_config(str(CONFIGS / "soliton_conservation.cfg"))
+    prob, nl = build_problem(cfg)
+    space = build_space(cfg.a, cfg.b, cfg.M, cfg.p, cfg.bc)
+    scfg = StepperConfig(tau=cfg.tau, k=cfg.k, newton_tol=cfg.newton_tol)
+    summary = integrate(prob.u0, scfg, space, nl, 3 * cfg.tau)
+    tol = scfg.newton_tol
+    for report in summary.reports:
+        e = report.increment_history
+        chord = tol < e[-2] and e[-2] ** 2 <= tol
+        assert report.factorizations == report.iterations - chord, e
+    assert len(calls) == sum(r.factorizations for r in summary.reports)
+    assert len(calls) < sum(r.iterations for r in summary.reports)
+
+
+def _log_bordered_solves(monkeypatch, fail_chord=False):
+    """Route stepper.solve_bordered through a wrapper; returns the log of
+    (chord step?, factorizations so far) per solve.  With fail_chord the first
+    chord solve raises SolverError."""
+    log, calls, fail = [], [], [True] if fail_chord else []
+    factor, solve = linsolve.factor, stepper.solve_bordered
+
+    def counted_factor(K):
+        calls.append(1)
+        return factor(K)
+
+    def logged_solve(system, factorization=None):
+        chord = factorization is not None
+        if chord and fail:
+            fail.clear()
+            raise SolverError("chord solve failed")
+        solution = solve(system, factorization)
+        log.append((chord, len(calls)))
+        return solution
+
+    monkeypatch.setattr(linsolve, "factor", counted_factor)
+    monkeypatch.setattr(stepper, "solve_bordered", logged_solve)
+    return log
+
+
+def test_chord_step_that_does_not_converge_is_followed_by_an_exact_step(monkeypatch):
+    # coarse defocusing data at k = 1 with newton_tol = 1e-3: slab 2's first
+    # exact increment 2.6e-2 has e^2 <= newton_tol, but the chord step after it
+    # gives 3.0e-3 > newton_tol, so the next step assembles and factors again
+    log = _log_bordered_solves(monkeypatch)
+    prob = soliton()
+    nl = power_law(-prob.kappa, prob.q, c0=1.0)
+    space = build_space(prob.a, prob.b, 16, 1, PERIODIC)
+    cfg = StepperConfig(tau=0.1, k=1, newton_tol=1e-3)
+    summary = integrate(prob.u0, cfg, space, nl, 0.2)
+    history = [e for r in summary.reports for e in r.increment_history]
+    assert len(log) == len(history)
+    failed = 0
+    for (chord, factored), (after, factored_after), e in zip(log, log[1:], history):
+        assert not (chord and after)
+        assert factored_after == factored + (not after)
+        if chord and e > cfg.newton_tol:
+            failed += 1
+    assert failed >= 1
+    pos = 0
+    for report in summary.reports:
+        steps = log[pos:pos + report.iterations]
+        pos += report.iterations
+        assert report.factorizations == sum(not chord for chord, _ in steps)
+
+
+def test_chord_step_solver_error_restarts_like_an_exact_one(monkeypatch):
+    # slab 2 from the previous slab's polynomial is exact, exact, exact, chord;
+    # a SolverError in that chord solve restarts the slab from the constant
+    # value, as one in an exact step does, bit for bit as a cold start
+    prob = soliton()
+    nl = power_law(prob.kappa, prob.q, c0=1.0)
+    space = build_space(prob.a, prob.b, 60, 2, PERIODIC)
+    cfg = StepperConfig(tau=0.1, k=2)
+    log = _SlabLog()
+    summary = integrate(prob.u0, cfg, space, nl, 0.2, observers=(log,))
+    (state0, state1, report1), (_, new, report) = log.slabs
+    assert report.factorizations == report.iterations - 1
+    asm, scheme = summary.assemblies, summary.scheme
+    cold, cold_report = advance(state1, cfg, asm, scheme, nl)
+    _log_bordered_solves(monkeypatch, fail_chord=True)
+    new, report = advance(state1, cfg, asm, scheme, nl, previous=(state0, report1.stages))
+    assert np.array_equal(new.u, cold.u) and new.r == cold.r
+    assert report.increment_history[3:] == [np.inf] + cold_report.increment_history
+    assert report.factorizations == 3 + cold_report.factorizations
+    assert report.warnings[0].startswith("restarted Newton from the constant value; the start "
+                                         "from the previous slab's polynomial failed at step 4")
+    assert "chord solve failed" in report.warnings[0]
 
 
 def test_failed_predictor_restarts_from_constant_value():
