@@ -13,10 +13,10 @@ from .errors import (ConfigurationError, InputError, ModelError,
                      UsageError)
 from .fem import (DIRICHLET, PERIODIC, FemSpace, Mesh1D, assemble_mass,
                   assemble_stiffness, build_space, error_norms, evaluate,
-                  integrate_density, interpolate)
+                  interpolate)
 from .linsolve import BorderedSolution, BorderedSystem, factor, solve_bordered
-from .model import (Nonlinearity, SavState, custom_nonlinearity,
-                    g_derivatives, g_times_u, power_law, r_init)
+from .model import (Nonlinearity, SavState, g_derivatives, g_times_u,
+                    power_law, r_init)
 from .stepper import (Assemblies, SlabUnknowns, StepReport, StepperConfig,
                       TrajectorySummary, advance, integrate, newton_step,
                       residual)

@@ -100,7 +100,7 @@ def read_config_file(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: "
                          f"{getattr(exc, 'strerror', exc)}") from exc
-    values = {}
+    values, seen = {}, {}
     for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -110,7 +110,9 @@ def read_config_file(path):
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _PARSERS:
             raise UsageError(f"{path}:{lineno}: unknown config key '{key}'")
-        values[key] = raw
+        if key in seen:
+            raise UsageError(f"{path}:{lineno}: config key '{key}' repeats line {seen[key]}")
+        values[key], seen[key] = raw, lineno
     return values
 
 

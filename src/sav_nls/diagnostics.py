@@ -5,7 +5,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .fem import error_norms, integrate_density
+from .fem import error_norms
+from .model import integral_F
 
 INTERNAL_MASS_SLACK = 1e-10
 
@@ -23,8 +24,7 @@ def sav_energy(asm, state):
 def original_energy(asm, u, nl):
     """Physical energy 0.5 |grad u|^2 - 0.5 int F(|u|^2)."""
     grad = 0.5 * np.real(np.vdot(u, asm.stiff @ u))
-    bulk = integrate_density(asm.space, u, lambda uu, du, x: nl.F(np.abs(uu) ** 2), asm.nq)
-    return float(grad - 0.5 * bulk)
+    return float(grad - 0.5 * integral_F(asm, u, nl))
 
 
 def internal_mass_check(asm, stage_values, weights, u0_mass):

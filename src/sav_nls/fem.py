@@ -2,9 +2,8 @@
 
 Degrees 1..4 with equispaced nodes per element; periodic or homogeneous
 Dirichlet boundary conditions.  FE functions are plain complex coefficient
-arrays of length num_dofs.  Mass/stiffness operators are assembled with
-exact Gauss quadrature; nonlinear functionals use a per-element rule chosen
-by the caller.
+arrays of length num_dofs; the basis is real, so the mass and stiffness
+operators are real CSR matrices, assembled with exact Gauss quadrature.
 """
 
 from dataclasses import dataclass
@@ -137,29 +136,27 @@ def scatter_vector(space, local_loads):
     dm = space.dof_map.ravel()
     keep = dm >= 0
     idx = dm[keep]
-    vals = np.asarray(local_loads).reshape(-1)[keep]
-    out = np.bincount(idx, weights=vals.real, minlength=space.num_dofs).astype(np.complex128)
-    if np.iscomplexobj(vals):
-        out += 1j * np.bincount(idx, weights=vals.imag, minlength=space.num_dofs)
-    return out
+    vals = np.asarray(local_loads, dtype=np.complex128).reshape(-1)[keep]
+    return (np.bincount(idx, weights=vals.real, minlength=space.num_dofs)
+            + 1j * np.bincount(idx, weights=vals.imag, minlength=space.num_dofs))
 
 
 def assemble_mass(space, pattern=None):
-    """Mass operator M_ij = int phi_i phi_j dx (Hermitian positive definite)."""
+    """Mass operator M_ij = int phi_i phi_j dx (symmetric positive definite)."""
     h = space.mesh.h
     _, wts, phi, _ = basis_tables(space, space.degree + 1)
     local = h * np.einsum("q,ql,qm->lm", wts, phi, phi)
     pattern = matrix_pattern(space) if pattern is None else pattern
-    return scatter_matrix(pattern, local).astype(np.complex128)
+    return scatter_matrix(pattern, local)
 
 
 def assemble_stiffness(space, pattern=None):
-    """Stiffness operator A_ij = int phi_i' phi_j' dx (Hermitian PSD)."""
+    """Stiffness operator A_ij = int phi_i' phi_j' dx (symmetric PSD)."""
     h = space.mesh.h
     _, wts, _, dphi = basis_tables(space, space.degree + 1)
     local = (1.0 / h) * np.einsum("q,ql,qm->lm", wts, dphi, dphi)
     pattern = matrix_pattern(space) if pattern is None else pattern
-    return scatter_matrix(pattern, local).astype(np.complex128)
+    return scatter_matrix(pattern, local)
 
 
 def interpolate(space, fn):
@@ -207,15 +204,6 @@ def quadrature_coords(space, ref_pts):
     """Physical coordinates of the per-element reference points; shape (M, nq)."""
     mesh = space.mesh
     return mesh.a + (np.arange(mesh.num_elements)[:, None] + ref_pts[None, :]) * mesh.h
-
-
-def integrate_density(space, v, density, nq):
-    """Integrate density(u, u', x) over the domain with nq Gauss points per element."""
-    pts, wts = reference_quadrature(nq)
-    u, du = element_values(space, v, pts)
-    x = quadrature_coords(space, pts)
-    vals = density(u, du, x)
-    return float(space.mesh.h * np.sum(wts[None, :] * vals))
 
 
 def error_norms(space, v, exact, exact_grad):

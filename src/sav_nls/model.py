@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ModelError
-from .fem import integrate_density
+from .fem import element_coefficients
 
 _FPRIME_CHECK_POINTS = (0.1, 0.5, 1.0, 2.0)
 _CLAMP_RADIUS = 1e-14
@@ -70,10 +70,6 @@ def power_law(kappa, q, c0=1.0):
         c0=float(c0), kappa=kappa, q=q)
 
 
-def custom_nonlinearity(f, F, fp, c0=1.0):
-    return Nonlinearity(f=f, F=F, fp=fp, c0=float(c0))
-
-
 @dataclass(frozen=True)
 class SavState:
     """FE coefficients u, auxiliary scalar r and current time."""
@@ -83,13 +79,16 @@ class SavState:
     t: float
 
 
-def r_init(space, u0, nl, nq=None):
-    """Initial auxiliary scalar r0 = sqrt(int F(|u0|^2)/2 dx + c0), with nq
-    Gauss points per element (default p+2); the same functional is the
-    denominator of g(u)."""
-    nq = space.degree + 2 if nq is None else nq
-    integral = integrate_density(space, u0, lambda uu, du, x: nl.F(np.abs(uu) ** 2), nq)
-    radicand = 0.5 * integral + nl.c0
+def integral_F(asm, u, nl):
+    """int F(|u|^2) dx on the quadrature of `asm` (stepper.Assemblies)."""
+    u_q = element_coefficients(asm.space, u) @ asm.phi.T
+    return float(asm.space.mesh.h * np.sum(asm.quad_wts[None, :] * nl.F(np.abs(u_q) ** 2)))
+
+
+def r_init(asm, u0, nl):
+    """Initial auxiliary scalar r0 = sqrt(int F(|u0|^2)/2 dx + c0); the same
+    functional is the denominator of g(u)."""
+    radicand = 0.5 * integral_F(asm, u0, nl) + nl.c0
     if radicand <= 0:
         raise ModelError(f"SAV radicand {radicand} is nonpositive")
     return float(np.sqrt(radicand))

@@ -53,12 +53,9 @@ class Assemblies:
 
     space: object
     pattern: object        # fem.MatrixPattern of every operator below
-    mass: sp.csr_matrix
+    mass: sp.csr_matrix    # real, like every FE operator; stage vectors are complex
     stiff: sp.csr_matrix
-    mass_real: sp.csr_matrix
-    stiff_real: sp.csr_matrix
-    nq: int
-    quad_wts: np.ndarray   # reference weights on [0, 1]
+    quad_wts: np.ndarray   # nq reference weights on [0, 1]
     phi: np.ndarray        # (nq, p+1) basis values at the quadrature points
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -67,11 +64,8 @@ class Assemblies:
         nq = space.degree + 2 if nq is None else nq
         _, wts, phi, _ = basis_tables(space, nq)
         pattern = matrix_pattern(space)
-        mass = assemble_mass(space, pattern)
-        stiff = assemble_stiffness(space, pattern)
-        return cls(space=space, pattern=pattern, mass=mass, stiff=stiff,
-                   mass_real=mass.real.tocsr(), stiff_real=stiff.real.tocsr(),
-                   nq=nq, quad_wts=wts, phi=phi)
+        return cls(space=space, pattern=pattern, mass=assemble_mass(space, pattern),
+                   stiff=assemble_stiffness(space, pattern), quad_wts=wts, phi=phi)
 
 
 @dataclass
@@ -102,11 +96,6 @@ class TrajectorySummary:
     scheme: object = None
 
 
-def _stage_element_values(asm, u_stages):
-    """Per-element quadrature values of every stage; shape (k, M, nq)."""
-    return element_coefficients(asm.space, u_stages) @ asm.phi.T
-
-
 def _linear_residual(state, u_stages, asm, scheme, tau):
     """Stage time derivatives du (k, ndof) and the linear residual i M du + A U."""
     nodal_u = np.vstack([state.u[None, :], u_stages])
@@ -123,7 +112,7 @@ def _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian):
     nodal_r = np.concatenate([[state.r], unknowns.r_stages])
     dr = (2.0 / tau) * (scheme.diff_matrix @ nodal_r)   # (k,)
 
-    u_q = _stage_element_values(asm, unknowns.u_stages)
+    u_q = element_coefficients(space, unknowns.u_stages) @ asm.phi.T   # (k, M, nq)
     s_q = np.abs(u_q) ** 2
     radicands = 0.5 * h * np.einsum("kmq,q->k", nl.F(s_q), asm.quad_wts) + nl.c0
     if np.any(radicands <= 0):
@@ -202,7 +191,7 @@ def _assemble_newton_system(unknowns, asm, scheme, tau, data):
     n = asm.space.num_dofs
     k = len(unknowns.r_stages)
     R = unknowns.r_stages
-    Md, Ad = asm.mass_real.data, asm.stiff_real.data
+    Md, Ad = asm.mass.data, asm.stiff.data
     alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]     # (k, k), stage coupling
     N, du = data["N"], data["du"]
     G1, X2, Y2 = data["G1"], data["X2"], data["Y2"]
@@ -245,8 +234,8 @@ def _assemble_newton_system(unknowns, asm, scheme, tau, data):
 
 def _increment_norm(asm, delta_u, delta_r):
     """max over stages of the mass-weighted L2 norm of dU and |dR|."""
-    Mr = asm.mass_real
-    l2 = [np.sqrt(d.real @ (Mr @ d.real) + d.imag @ (Mr @ d.imag)) for d in delta_u]
+    M = asm.mass
+    l2 = [np.sqrt(d.real @ (M @ d.real) + d.imag @ (M @ d.imag)) for d in delta_u]
     return float(max(max(l2), np.abs(delta_r).max()))
 
 
@@ -384,7 +373,7 @@ def integrate(u0_fn, cfg, space, nl, T, observers=(), nq=None):
     asm = Assemblies.build(space, nq=nq)
     scheme = collocation_scheme(cfg.k)
     u0 = interpolate(space, u0_fn)
-    state = SavState(u=u0, r=r_init(space, u0, nl, asm.nq), t=0.0)
+    state = SavState(u=u0, r=r_init(asm, u0, nl), t=0.0)
     for obs in observers:
         if hasattr(obs, "start"):
             obs.start(state, asm, scheme, nl)

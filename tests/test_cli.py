@@ -71,6 +71,17 @@ def test_unknown_key_rejected(tmp_path):
         parse_config(path)
 
 
+def test_repeated_key_is_usage_error(tmp_path, capsys):
+    # lines 7 and 9 both set tau
+    path = _write(tmp_path, MINIMAL + "tau = 0.1\n")
+    with pytest.raises(UsageError, match=r"run.cfg:9: config key 'tau' repeats line 7$"):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out-dir", str(out)]) == EXIT_USAGE
+    assert "config key 'tau' repeats line 7" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_required_key(tmp_path):
     path = _write(tmp_path, "problem = soliton\nM = 100\n")
     with pytest.raises(UsageError, match="required"):

@@ -42,7 +42,7 @@ def test_sav_energy_values(soliton_interpolant):
     np.testing.assert_allclose(sav_energy(asm, zero_state), -nl.c0, rtol=1e-14)
 
     # grad energy: int |d/dx (sech e^{2ix})|^2 = 2/3 + 8 = 26/3
-    state = SavState(u=u, r=r_init(asm.space, u, nl, asm.nq), t=0.0)
+    state = SavState(u=u, r=r_init(asm, u, nl), t=0.0)
     np.testing.assert_allclose(sav_energy(asm, state), 8.0 / 3.0, atol=1e-3)
 
 
@@ -53,7 +53,7 @@ def test_original_energy_values(soliton_interpolant):
     np.testing.assert_allclose(original_energy(asm, u, nl), 11.0 / 3.0, atol=1e-3)
 
     # at r = r_init the quadratization defect vanishes identically
-    state = SavState(u=u, r=r_init(asm.space, u, nl, asm.nq), t=0.0)
+    state = SavState(u=u, r=r_init(asm, u, nl), t=0.0)
     defect = sav_energy(asm, state) - (original_energy(asm, u, nl) - nl.c0)
     assert abs(defect) <= 1e-9
 

@@ -4,7 +4,7 @@ import pytest
 from sav_nls.errors import ConfigurationError, InputError
 from sav_nls.fem import (DIRICHLET, PERIODIC, assemble_mass, assemble_stiffness,
                          basis_tables, build_space, element_coefficients, error_norms,
-                         evaluate, integrate_density, interpolate)
+                         evaluate, interpolate)
 
 
 def sech(x):
@@ -207,42 +207,6 @@ def test_evaluate_outside_domain():
     v = interpolate(space, lambda x: 1.0)
     with pytest.raises(InputError):
         evaluate(space, v, 1.5)
-
-
-def test_integrate_density_basics():
-    space = build_space(0.0, 1.0, 6, 2, PERIODIC)
-    v = interpolate(space, lambda x: 1.0)
-    val = integrate_density(space, v, lambda u, du, x: np.abs(u) ** 2, 4)
-    np.testing.assert_allclose(val, 1.0, rtol=1e-13)
-
-    # tent profile has |u'| = 1 everywhere and satisfies the Dirichlet BC
-    space_d = build_space(0.0, 1.0, 6, 2, DIRICHLET)
-    v = interpolate(space_d, lambda x: min(x, 1.0 - x))
-    val = integrate_density(space_d, v, lambda u, du, x: np.abs(du) ** 2, 4)
-    np.testing.assert_allclose(val, 1.0, rtol=1e-13)
-
-    with pytest.raises(ConfigurationError):
-        integrate_density(space, v, lambda u, du, x: np.abs(u) ** 2, 0)
-
-
-def test_integrate_density_sech_fourth_power():
-    # int sech(x)^4 dx = 4/3; tails beyond [-20, 20] are ~1e-17
-    space = build_space(-20.0, 20.0, 2000, 3, PERIODIC)
-    v = interpolate(space, sech)
-    val = integrate_density(space, v, lambda u, du, x: np.abs(u) ** 4, 5)
-    np.testing.assert_allclose(val, 4.0 / 3.0, atol=1e-6)
-
-
-def test_integrate_density_matches_mass_quadratic_form():
-    space = build_space(-2.0, 3.0, 9, 3, PERIODIC)
-    M = assemble_mass(space)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        v = rng.standard_normal(space.num_dofs) + 1j * rng.standard_normal(space.num_dofs)
-        by_quad = integrate_density(space, v, lambda u, du, x: np.abs(u) ** 2,
-                                    space.degree + 2)
-        by_form = np.real(np.vdot(v, M @ v))
-        np.testing.assert_allclose(by_quad, by_form, rtol=1e-12)
 
 
 def test_error_norms_exact_reproduction_and_trivial_cases():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from sav_nls.errors import ConfigurationError, ModelError
-from sav_nls.fem import PERIODIC, build_space, interpolate
-from sav_nls.model import (custom_nonlinearity, g_derivatives, g_times_u,
+from sav_nls.fem import PERIODIC, assemble_mass, build_space, interpolate
+from sav_nls.model import (Nonlinearity, g_derivatives, g_times_u, integral_F,
                            power_law, r_init)
+from sav_nls.stepper import Assemblies
 
 
 def sech(x):
@@ -19,57 +20,86 @@ def test_power_law_validation():
 
 
 def test_custom_antiderivative_check():
-    nl = custom_nonlinearity(f=lambda s: 2 * s, F=lambda s: s ** 2,
-                             fp=lambda s: 2.0 + 0 * s)
+    nl = Nonlinearity(f=lambda s: 2 * s, F=lambda s: s ** 2, fp=lambda s: 2.0 + 0 * s)
     assert nl.f(1.5) == 3.0
     with pytest.raises(ConfigurationError, match="F'"):
-        custom_nonlinearity(f=lambda s: 2 * s, F=lambda s: s ** 3,
-                            fp=lambda s: 2.0 + 0 * s)
+        Nonlinearity(f=lambda s: 2 * s, F=lambda s: s ** 3, fp=lambda s: 2.0 + 0 * s)
 
 
 def test_custom_nonlinearity_needs_callables():
     with pytest.raises(ConfigurationError, match="needs f, F and f'"):
-        custom_nonlinearity(f=None, F=lambda s: s ** 2, fp=lambda s: 2.0 + 0 * s)
+        Nonlinearity(f=None, F=lambda s: s ** 2, fp=lambda s: 2.0 + 0 * s)
+
+
+def _assemblies(a, b, M, p):
+    return Assemblies.build(build_space(a, b, M, p, PERIODIC))
+
+
+# F(s) = s, so that integral_F is the L2 norm squared
+MASS_DENSITY = Nonlinearity(f=lambda s: 1.0 + 0.0 * s, F=lambda s: s, fp=lambda s: 0.0 * s)
+
+
+def test_integral_F_of_constant_is_domain_length():
+    asm = _assemblies(0.0, 1.0, 6, 2)
+    v = interpolate(asm.space, lambda x: 1.0)
+    np.testing.assert_allclose(integral_F(asm, v, MASS_DENSITY), 1.0, rtol=1e-13)
+
+
+def test_integral_F_sech_fourth_power():
+    # F(s) = s^2 for kappa=2, q=3 and int sech(x)^4 dx = 4/3; tails beyond
+    # [-20, 20] are ~1e-17
+    asm = _assemblies(-20.0, 20.0, 2000, 3)
+    v = interpolate(asm.space, sech)
+    np.testing.assert_allclose(integral_F(asm, v, power_law(2.0, 3.0)), 4.0 / 3.0, atol=1e-6)
+
+
+def test_integral_F_matches_mass_quadratic_form():
+    asm = _assemblies(-2.0, 3.0, 9, 3)
+    M = assemble_mass(asm.space)
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        v = rng.standard_normal(asm.space.num_dofs) + 1j * rng.standard_normal(asm.space.num_dofs)
+        np.testing.assert_allclose(integral_F(asm, v, MASS_DENSITY),
+                                   np.real(np.vdot(v, M @ v)), rtol=1e-12)
 
 
 def test_r_init_zero_data():
-    space = build_space(0.0, 1.0, 4, 1, PERIODIC)
+    asm = _assemblies(0.0, 1.0, 4, 1)
     nl = power_law(1.0, 3.0, c0=1.0)
-    u0 = np.zeros(space.num_dofs, dtype=complex)
-    np.testing.assert_allclose(r_init(space, u0, nl), 1.0, rtol=1e-14)
+    u0 = np.zeros(asm.space.num_dofs, dtype=complex)
+    np.testing.assert_allclose(r_init(asm, u0, nl), 1.0, rtol=1e-14)
 
 
 def test_r_init_constant_one():
     # F(s) = s^2/2 for kappa=1, q=3: int F(1)/2 = 1/4 on the unit domain
-    space = build_space(0.0, 1.0, 8, 2, PERIODIC)
+    asm = _assemblies(0.0, 1.0, 8, 2)
     nl = power_law(1.0, 3.0, c0=1.0)
-    u0 = interpolate(space, lambda x: 1.0)
-    np.testing.assert_allclose(r_init(space, u0, nl), np.sqrt(1.25), rtol=1e-13)
+    u0 = interpolate(asm.space, lambda x: 1.0)
+    np.testing.assert_allclose(r_init(asm, u0, nl), np.sqrt(1.25), rtol=1e-13)
 
 
 def test_r_init_soliton_profile():
     # F(s) = s^2 for kappa=2, q=3: int F(sech^2)/2 = (1/2) * 4/3 = 2/3
-    space = build_space(-20.0, 20.0, 1000, 3, PERIODIC)
+    asm = _assemblies(-20.0, 20.0, 1000, 3)
     nl = power_law(2.0, 3.0, c0=1.0)
-    u0 = interpolate(space, sech)
-    np.testing.assert_allclose(r_init(space, u0, nl), np.sqrt(5.0 / 3.0), atol=1e-5)
+    u0 = interpolate(asm.space, sech)
+    np.testing.assert_allclose(r_init(asm, u0, nl), np.sqrt(5.0 / 3.0), atol=1e-5)
 
 
 def test_r_init_nonpositive_radicand():
-    space = build_space(0.0, 1.0, 4, 1, PERIODIC)
+    asm = _assemblies(0.0, 1.0, 4, 1)
     nl = power_law(-1.0, 3.0, c0=1.0)  # F(s) = -s^2/2
-    u0 = interpolate(space, lambda x: 2.0)
+    u0 = interpolate(asm.space, lambda x: 2.0)
     with pytest.raises(ModelError, match="radicand"):
-        r_init(space, u0, nl)
+        r_init(asm, u0, nl)
 
 
 def test_denominator_phase_invariance():
-    space = build_space(-5.0, 5.0, 20, 2, PERIODIC)
+    asm = _assemblies(-5.0, 5.0, 20, 2)
     nl = power_law(2.0, 3.0, c0=1.0)
-    u = interpolate(space, lambda x: sech(x) * (1.0 + 0.5j))
-    d1 = r_init(space, u, nl)
-    d2 = r_init(space, u * np.exp(0.7j), nl)
-    np.testing.assert_allclose(d1, d2, rtol=1e-13)
+    u = interpolate(asm.space, lambda x: sech(x) * (1.0 + 0.5j))
+    np.testing.assert_allclose(r_init(asm, u, nl), r_init(asm, u * np.exp(0.7j), nl),
+                               rtol=1e-13)
 
 
 def test_g_times_u_values():
@@ -105,9 +135,9 @@ def test_g_derivatives_first_order_taylor():
 
 
 @pytest.mark.parametrize("nl", [power_law(2.0, 3.0), power_law(-0.5, 5.0),
-                                custom_nonlinearity(f=lambda s: np.sin(s),
-                                                    F=lambda s: 1.0 - np.cos(s),
-                                                    fp=lambda s: np.cos(s))])
+                                Nonlinearity(f=lambda s: np.sin(s),
+                                             F=lambda s: 1.0 - np.cos(s),
+                                             fp=lambda s: np.cos(s))])
 def test_wirtinger_consistency_random(nl):
     # FD Jacobian of g(u)u as a map R^2 -> R^2 matches (g1, g2) in real form
     rng = np.random.default_rng(23)
@@ -137,7 +167,7 @@ def test_g_derivatives_clamps_singular_origin():
 
 
 def test_g_derivatives_non_finite_raises():
-    nl = custom_nonlinearity(f=lambda s: 2 * s, F=lambda s: s ** 2,
-                             fp=lambda s: np.inf + 0 * s)
+    nl = Nonlinearity(f=lambda s: 2 * s, F=lambda s: s ** 2,
+                      fp=lambda s: np.inf + 0 * s)
     with pytest.raises(ModelError, match="not finite at 2 points"):
         g_derivatives(np.array([0.5 + 0j, 1.0 + 0j]), 1.0, nl, clamp_counter=[0])

@@ -6,20 +6,21 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sav_nls import fem, linsolve, stepper
-from sav_nls.cli import build_problem, parse_config
+from sav_nls import diagnostics, fem, linsolve, stepper
+from sav_nls.cli import _prepare, build_problem, parse_config
 from sav_nls.collocation import SlabPolynomial, collocation_scheme, temporal_l2_project
 from sav_nls.diagnostics import InternalMassObserver, RunRecorder
 from sav_nls.errors import ConfigurationError, SolverError, StepError
 from sav_nls.fem import DIRICHLET, PERIODIC, build_space, interpolate
-from sav_nls.model import SavState, custom_nonlinearity, power_law, r_init
+from sav_nls.model import Nonlinearity, SavState, power_law, r_init
 from sav_nls.problems import soliton
 from sav_nls.stepper import (Assemblies, SlabUnknowns, StepperConfig,
                              _assemble_newton_system, _complex_parts,
                              _real_parts, _residual_from_data, _stage_data,
                              advance, integrate, newton_step, num_slabs, residual)
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def _zeros_state(space, r):
@@ -145,7 +146,7 @@ def _soliton_setup(M=40, p=2, k=2):
     space = build_space(prob.a, prob.b, M, p, PERIODIC)
     asm = Assemblies.build(space)
     u0 = interpolate(space, prob.u0)
-    state = SavState(u=u0, r=r_init(space, u0, nl, asm.nq), t=0.0)
+    state = SavState(u=u0, r=r_init(asm, u0, nl), t=0.0)
     return space, asm, nl, state, collocation_scheme(k)
 
 
@@ -218,7 +219,7 @@ def test_nonlinear_time_reversibility_and_phase_invariance(k, bc):
     asm = Assemblies.build(space)
     scheme = collocation_scheme(k)
     u0 = interpolate(space, prob.u0)
-    state = SavState(u=u0, r=r_init(space, u0, nl, asm.nq), t=0.0)
+    state = SavState(u=u0, r=r_init(asm, u0, nl), t=0.0)
     fwd, _ = advance(state, StepperConfig(tau=0.1, k=k), asm, scheme, nl)
     back, _ = advance(fwd, StepperConfig(tau=-0.1, k=k), asm, scheme, nl)
     assert np.linalg.norm(back.u - u0) <= 1e-12 * np.linalg.norm(u0)
@@ -280,6 +281,22 @@ def test_predictor_matches_cold_start(k, bc):
         warm_iters += report.iterations
         cold_iters += cold_report.iterations
     assert warm_iters < cold_iters
+
+
+@pytest.mark.parametrize("config,overrides", [
+    ("configs/soliton_conservation.cfg", {}),
+    ("configs/soliton_conservation.cfg", {"q": "2", "kappa": "-1", "bc": "dirichlet"}),
+    ("perfbench/cases/planewave_linear.cfg", {"T": "0.01"}),
+])
+def test_every_slab_meets_the_residual_gate(config, overrides):
+    """The final collocation residual of every slab is at most 10 newton_tol
+    (worst slabs 3.6e-14, 3.5e-14 and 2.4e-11 against 1e-9)."""
+    cfg = parse_config(str(ROOT / config), overrides)
+    prob, nl, space, scfg = _prepare(cfg)
+    summary = integrate(prob.u0, scfg, space, nl, cfg.T)
+    assert summary.num_slabs == len(summary.reports) > 0
+    worst = max(report.residual_final for report in summary.reports)
+    assert worst <= 10 * scfg.newton_tol
 
 
 def test_newton_converges_quadratically():
@@ -515,8 +532,7 @@ def test_integrate_reports_failing_slab():
 
 def test_integrate_non_finite_g_derivatives_is_step_error():
     prob = soliton()
-    nl = custom_nonlinearity(f=lambda s: 2 * s, F=lambda s: s ** 2,
-                             fp=lambda s: np.inf + 0 * s)
+    nl = Nonlinearity(f=lambda s: 2 * s, F=lambda s: s ** 2, fp=lambda s: np.inf + 0 * s)
     space = build_space(prob.a, prob.b, 30, 1, PERIODIC)
     with pytest.raises(StepError, match="not finite") as err:
         integrate(prob.u0, StepperConfig(tau=0.1, k=2), space, nl, T=0.2)
@@ -663,7 +679,7 @@ def test_fixed_layout_assembly_matches_coo_and_bmat(p, k, bc, M, monkeypatch):
     ref = [_coo_scatter_reference(space, local) for local, _ in scattered]
     for r, (_, assembled) in zip(ref, scattered):
         _assert_same_sparse(assembled, r)
-    mass, stiff = (r.astype(np.complex128) for r in ref[:2])
+    mass, stiff = ref[:2]   # real: _assert_same_sparse compares dtypes too
     _assert_same_sparse(asm.mass, mass)
     _assert_same_sparse(asm.stiff, stiff)
     G1, X2, Y2 = ref[2::3], ref[3::3], ref[4::3]
@@ -671,10 +687,64 @@ def test_fixed_layout_assembly_matches_coo_and_bmat(p, k, bc, M, monkeypatch):
         _assert_same_sparse(got, want)
 
     alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
-    K = _bmat_reference(mass.real.tocsr(), stiff.real.tocsr(), G1, X2, Y2,
-                        unk.r_stages, alpha, k)
+    K = _bmat_reference(mass, stiff, G1, X2, Y2, unk.r_stages, alpha, k)
     _assert_same_sparse(system.K, K)
     B, C = _loop_layout_reference(data["N"], data["du"], G1, X2, Y2, alpha,
                                   unk.r_stages, data["denoms"], k, n)
     assert np.array_equal(system.B, B)
     assert np.array_equal(system.C, C)
+
+
+def _integrate_density_reference(space, v, F, nq):
+    """int F(|v|^2) dx as fem.integrate_density computed it, with basis tables of
+    its own."""
+    pts, wts = fem.reference_quadrature(nq)
+    u, _ = fem.element_values(space, v, pts)
+    return float(space.mesh.h * np.sum(wts[None, :] * F(np.abs(u) ** 2)))
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_real_operators_give_the_bits_of_complex_copies(p, bc):
+    """Complex products with the real mass and stiffness, and the one F-quadrature,
+    equal the former forms: complex astype copies of both operators, their real
+    parts, and integrate_density."""
+    space = build_space(-3.0, 3.0, 7, p, bc)
+    asm = Assemblies.build(space)
+    assert asm.mass.dtype == asm.stiff.dtype == np.float64
+    mass_c, stiff_c = (a.astype(np.complex128) for a in (asm.mass, asm.stiff))
+    mass_real = mass_c.real.tocsr()
+    n, k, tau = space.num_dofs, 3, 0.17
+    scheme = collocation_scheme(k)
+    nl = power_law(2.0, 3.0, c0=1.0)
+    rng = np.random.default_rng(10 * p + (bc == DIRICHLET))
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    u, u_stages = cplx(n), cplx(k, n)
+    state = SavState(u=u, r=1.3, t=0.0)
+    assert np.array_equal(diagnostics.mass(asm, u), float(np.real(np.vdot(u, mass_c @ u))))
+    assert np.array_equal(diagnostics.sav_energy(asm, state),
+                          float(0.5 * np.real(np.vdot(u, stiff_c @ u)) - state.r ** 2))
+
+    du, lin = stepper._linear_residual(state, u_stages, asm, scheme, tau)
+    assert np.array_equal(lin, (1j * (mass_c @ du.T) + stiff_c @ u_stages.T).T)
+
+    stepper._advance_linear(state, StepperConfig(tau=tau, k=k), asm, scheme)
+    alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
+    block = sp.bmat([[1j * alpha[j, m] * mass_c + stiff_c if j == m
+                      else 1j * alpha[j, m] * mass_c for m in range(k)] for j in range(k)],
+                    format="csc")
+    _assert_same_sparse(asm.cache["linear", tau, k], block)
+
+    delta_u, delta_r = cplx(k, n), rng.standard_normal(k)
+    l2 = [np.sqrt(d.real @ (mass_real @ d.real) + d.imag @ (mass_real @ d.imag))
+          for d in delta_u]
+    assert np.array_equal(stepper._increment_norm(asm, delta_u, delta_r),
+                          float(max(max(l2), np.abs(delta_r).max())))
+
+    bulk = _integrate_density_reference(space, u, nl.F, space.degree + 2)
+    assert np.array_equal(r_init(asm, u, nl), float(np.sqrt(0.5 * bulk + nl.c0)))
+    assert np.array_equal(diagnostics.original_energy(asm, u, nl),
+                          float(0.5 * np.real(np.vdot(u, stiff_c @ u)) - 0.5 * bulk))
