@@ -196,10 +196,13 @@ def _make_out_dir(path):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(row) + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def run_single(cfg, out_dir=".", check=False):

@@ -113,10 +113,10 @@ def matrix_pattern(space):
     keys = np.where((dm[:, :, None] >= 0) & (dm[:, None, :] >= 0),
                     dm[:, :, None] * n + dm[:, None, :], n * n)
     flat = np.sort(keys, axis=None, kind="stable")   # element by element: nearly sorted
-    kept = flat[np.r_[True, flat[1:] != flat[:-1]] & (flat < n * n)]
-    return MatrixPattern(indices=(kept % n).astype(np.int32),
-                         indptr=np.searchsorted(kept, np.arange(n + 1) * n).astype(np.int32),
-                         slots=np.searchsorted(kept, keys).astype(np.int32))
+    pairs = flat[np.r_[True, flat[1:] != flat[:-1]] & (flat < n * n)]
+    return MatrixPattern(indices=(pairs % n).astype(np.int32),
+                         indptr=np.searchsorted(pairs, np.arange(n + 1) * n).astype(np.int32),
+                         slots=np.searchsorted(pairs, keys).astype(np.int32))
 
 
 def scatter_matrix(pattern, local):

@@ -99,21 +99,20 @@ def g_times_u(u_val, denom, nl):
     return nl.f(np.abs(u_val) ** 2) * u_val / denom
 
 
-def g_derivatives(u_val, denom, nl, clamp_counter=None):
-    """Wirtinger derivatives (g1, g2) of g(u)u with the denominator frozen: the
-    pointwise part of the Jacobian; the stepper adds the denominator's rank-one
-    term per stage.
+def g_derivatives(u_val, denom, nl):
+    """Wirtinger derivatives (g1, g2) of g(u)u with the denominator frozen, and the
+    number of clamped points: the pointwise part of the Jacobian; the stepper adds
+    the denominator's rank-one term per stage.
 
     With s = |u|^2: g1 = (f(s) + f'(s) s) / denom and g2 = f'(s) u^2 / denom.
     For power laws with q < 3 the derivative is singular at u = 0; such
-    points are clamped to zero and counted in `clamp_counter` (a list whose
-    first entry is incremented) when supplied.  Any other non-finite value
+    points are clamped to zero and counted.  Any other non-finite value
     raises ModelError.
     """
     u_val = np.asarray(u_val, dtype=np.complex128)
     s = np.abs(u_val) ** 2
     mask = s < _CLAMP_RADIUS ** 2 if nl.q is not None and nl.q < 3 else None
-    clamped = mask is not None and np.any(mask)
+    clamped = 0 if mask is None else int(np.count_nonzero(mask))
     if clamped:
         s = np.where(mask, 1.0, s)  # placeholder, overwritten below
     fs = nl.f(s)
@@ -123,11 +122,9 @@ def g_derivatives(u_val, denom, nl, clamp_counter=None):
     if clamped:
         g1 = np.where(mask, 0.0, g1)
         g2 = np.where(mask, 0.0, g2)
-        if clamp_counter is not None:
-            clamp_counter[0] += int(np.count_nonzero(mask))
     bad = ~(np.isfinite(g1) & np.isfinite(g2))
     if np.any(bad):
         raise ModelError(f"g derivatives are not finite at {int(np.count_nonzero(bad))} points")
     if u_val.ndim == 0:
-        return complex(g1), complex(g2)
-    return g1, g2
+        return complex(g1), complex(g2), clamped
+    return g1, g2, clamped

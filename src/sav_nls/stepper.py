@@ -125,32 +125,27 @@ def _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian):
     loads = np.einsum("kmq,q,ql->kml", g_q * u_q, wh, asm.phi)
     N = np.stack([scatter_vector(space, loads[j]) for j in range(k)])
 
-    data = {"du": du, "lin": lin, "dr": dr, "denoms": denoms, "N": N}
+    data = {"du": du, "dr": dr, "denoms": denoms, "N": N,
+            "res_u": lin - unknowns.r_stages[:, None] * N,
+            "res_r": dr - 0.5 * np.real(np.einsum("ki,ki->k", N, du.conj()))}
     if need_jacobian:
-        clamp = [0]
-        G1, X2, Y2 = [], [], []
+        G1, X2, Y2, clamped = [], [], [], 0
         for j in range(k):
-            g1_q, g2_q = g_derivatives(u_q[j], denoms[j], nl, clamp_counter=clamp)
+            g1_q, g2_q, clamped_j = g_derivatives(u_q[j], denoms[j], nl)
+            clamped += clamped_j
             loc1 = np.einsum("mq,q,ql,qn->mln", g1_q.real, wh, asm.phi, asm.phi)
             loc2 = np.einsum("mq,q,ql,qn->mln", g2_q, wh, asm.phi, asm.phi)
             G1.append(scatter_matrix(asm.pattern, loc1))
             X2.append(scatter_matrix(asm.pattern, loc2.real))
             Y2.append(scatter_matrix(asm.pattern, loc2.imag))
-        data.update(G1=G1, X2=X2, Y2=Y2, clamped=clamp[0])
+        data.update(G1=G1, X2=X2, Y2=Y2, clamped=clamped)
     return data
 
 
 def residual(state, unknowns, asm, scheme, nl, tau):
     """Collocation residual (res_u: (k, ndof) complex, res_r: (k,) real)."""
     data = _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian=False)
-    return _residual_from_data(unknowns, data)
-
-
-def _residual_from_data(unknowns, data):
-    du, dr, N = data["du"], data["dr"], data["N"]
-    res_u = data["lin"] - unknowns.r_stages[:, None] * N
-    res_r = dr - 0.5 * np.real(np.einsum("ki,ki->k", N, du.conj()))
-    return res_u, res_r
+    return data["res_u"], data["res_r"]
 
 
 def _residual_norm(res_u, res_r):
@@ -227,9 +222,8 @@ def _assemble_newton_system(unknowns, asm, scheme, tau, data):
     C = C.reshape(k, 2 * k * n)
     K = sp.csc_matrix((values, indices, indptr), shape=(2 * k * n, 2 * k * n))
 
-    res_u, res_r = _residual_from_data(unknowns, data)
     return BorderedSystem(K=K, B=B, C=C, Dmat=alpha.copy(),
-                          rhs_main=-_real_parts(res_u), rhs_border=-res_r)
+                          rhs_main=-_real_parts(data["res_u"]), rhs_border=-data["res_r"])
 
 
 def _increment_norm(asm, delta_u, delta_r):
@@ -239,25 +233,24 @@ def _increment_norm(asm, delta_u, delta_r):
     return float(max(max(l2), np.abs(delta_r).max()))
 
 
-def newton_step(state, unknowns, asm, scheme, nl, tau, kept=None):
-    """One Newton update; returns (unknowns, increment_norm, clamped_points).  An empty
-    list `kept` receives this exact step's linearization; a full one makes a chord step."""
-    exact = not kept
-    data = _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian=exact)
-    if not exact:
-        (R, N, denoms), system, factorization = kept.pop()
-        res_u, res_r = _residual_from_data(unknowns, data)
-        x_main, x_border = solve_bordered(
-            replace(system, rhs_main=-_real_parts(res_u), rhs_border=-res_r), factorization)[:2]
+def newton_step(state, unknowns, asm, scheme, nl, tau, chord=None):
+    """One Newton update; returns (unknowns, increment_norm, clamped_points, linearization).
+    Without `chord` the step is exact, and its linearization is the ((R, N, denoms),
+    system, (lu, W, S)) it factored.  Passed back as `chord`, that value makes a chord
+    step: the fresh residual is solved with it, with no assembly and no factorization."""
+    data = _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian=chord is None)
     # allocated before this step factors: a long-lived array above SuperLU's mostly
     # untouched workspace on glibc's brk heap pins it there (peak RSS rose 5-20%)
     updated = SlabUnknowns(unknowns.u_stages.copy(), unknowns.r_stages.copy())
-    if exact:
-        R, N, denoms = unknowns.r_stages, data["N"], data["denoms"]
+    if chord is None:
         system = _assemble_newton_system(unknowns, asm, scheme, tau, data)
         x_main, x_border, _, *factorization = solve_bordered(system)
-        if kept is not None:
-            kept.append(((R, N, denoms), system, factorization))
+        lin = (unknowns.r_stages, data["N"], data["denoms"]), system, factorization
+    else:
+        _, system, factorization = lin = chord
+        system = replace(system, rhs_main=-_real_parts(data["res_u"]), rhs_border=-data["res_r"])
+        x_main, x_border = solve_bordered(system, factorization)[:2]
+    (R, N, denoms), _, _ = lin
     delta_u = _complex_parts(x_main, len(R))
     sigma = np.real(np.einsum("ki,ki->k", N.conj(), delta_u))
     delta_r = x_border + R / (2.0 * denoms) * sigma
@@ -266,7 +259,7 @@ def newton_step(state, unknowns, asm, scheme, nl, tau, kept=None):
     inc = _increment_norm(asm, delta_u, delta_r)
     if not np.isfinite(inc):
         raise StepError("Newton increment is not finite", increment_history=[inc])
-    return updated, inc, data.get("clamped", 0)   # a chord step evaluates no g derivatives
+    return updated, inc, data.get("clamped", 0), lin   # a chord step evaluates no g derivatives
 
 
 def _advance_linear(state, cfg, asm, scheme):
@@ -293,18 +286,19 @@ def _newton(state, unknowns, cfg, asm, scheme, nl, history, factored):
     """Newton iteration from `unknowns` until an increment norm is at most newton_tol;
     returns (unknowns, clamped points).  Appends each increment to `history`, inf while
     the step runs, so that a step that raises is counted, and to `factored` whether it
-    factored.  A chord step follows an exact one with newton_tol < e <= sqrt(newton_tol)."""
-    clamped_total, kept = 0, []
+    factored.  A chord step with the linearization of an exact step follows that step
+    when its increment e has newton_tol < e <= sqrt(newton_tol)."""
+    clamped_total, chord = 0, None
     for _ in range(cfg.max_newton_iters):
         history.append(np.inf)
-        factored.append(not kept)
-        unknowns, history[-1], clamped = newton_step(state, unknowns, asm, scheme, nl,
-                                                     cfg.tau, kept)
+        factored.append(chord is None)
+        unknowns, e, clamped, lin = newton_step(state, unknowns, asm, scheme, nl, cfg.tau, chord)
+        history[-1] = e
         clamped_total += clamped
-        if history[-1] <= cfg.newton_tol:
+        if e <= cfg.newton_tol:
             return unknowns, clamped_total
-        if history[-1] ** 2 > cfg.newton_tol:
-            kept.clear()   # before the next exact step factors
+        chord = lin if chord is None and e ** 2 <= cfg.newton_tol else None
+        del lin   # the next exact step factors with no earlier factorization alive
     raise StepError(f"Newton did not converge in {cfg.max_newton_iters} iterations "
                     f"(last increment {history[-1]:.3e})", increment_history=history)
 
@@ -329,6 +323,7 @@ def advance(state, cfg, asm, scheme, nl, previous=None):
             (prev_state, stages), E = previous, scheme.extrapolation_matrix
             start = SlabUnknowns(E @ np.vstack([prev_state.u, stages.u_stages]),
                                  E @ np.append(prev_state.r, stages.r_stages))
+        unknowns = None
         try:
             unknowns, clamped = _newton(state, start, cfg, asm, scheme, nl, history, factored)
         except NumericalError as exc:
@@ -336,6 +331,8 @@ def advance(state, cfg, asm, scheme, nl, previous=None):
                 raise
             warnings.append(f"restarted Newton from the constant value; the start from the "
                             f"previous slab's polynomial failed at step {len(history)}: {exc}")
+        if unknowns is None:   # restart after the except block: its traceback keeps the
+            # failed attempt's frames, and with them a factorization, alive
             unknowns, clamped = _newton(state, constant, cfg, asm, scheme, nl, history, factored)
         if clamped:
             warnings.append(f"clamped singular g derivatives at {clamped} points")

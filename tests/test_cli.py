@@ -265,22 +265,31 @@ def test_main_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["config_is_directory", "config_not_utf8",
-                                  "run_out_dir_is_file", "sweep_out_dir_is_file"])
+                                  "run_out_dir_is_file", "sweep_out_dir_is_file",
+                                  "run_csv_is_directory", "sweep_csv_is_directory"])
 def test_io_failure_is_usage_error(tmp_path, capsys, case):
     cfg_path = _write(tmp_path, SWEEP)
     afile = _write(tmp_path, "", name="afile")
     (tmp_path / "bad.cfg").write_bytes(b"problem = soliton\n\xff\n")
+    csv_dir = tmp_path / "csv"   # each CSV the runs write is a directory here
+    for name in ("timeseries.csv", "time_convergence.csv"):
+        (csv_dir / name).mkdir(parents=True)
     command, config, out = {
         "config_is_directory": ("run", str(tmp_path), str(tmp_path / "out")),
         "config_not_utf8": ("run", str(tmp_path / "bad.cfg"), str(tmp_path / "out")),
         "run_out_dir_is_file": ("run", cfg_path, afile),
         "sweep_out_dir_is_file": ("sweep-time", cfg_path, afile),
+        "run_csv_is_directory": ("run", cfg_path, str(csv_dir)),
+        "sweep_csv_is_directory": ("sweep-time", cfg_path, str(csv_dir)),
     }[case]
     assert main([command, "--config", config, "--out-dir", out]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert (config if case.startswith("config") else out) in err
+    if case.endswith("csv_is_directory"):
+        csv = "timeseries.csv" if command == "run" else "time_convergence.csv"
+        assert f"cannot write {os.path.join(out, csv)}: Is a directory" in err
 
 
 @pytest.mark.parametrize("problem", ["custom", "bogus"])

@@ -116,18 +116,19 @@ def test_g_times_u_values():
 
 def test_g_derivatives_closed_form():
     nl = power_law(1.0, 3.0)
-    g1, g2 = g_derivatives(1.0 + 0j, 1.0, nl)
+    g1, g2, clamped = g_derivatives(1.0 + 0j, 1.0, nl)
     np.testing.assert_allclose(g1, 2.0, rtol=1e-14)
     np.testing.assert_allclose(g2, 1.0, rtol=1e-14)
-    g1, g2 = g_derivatives(0.0 + 0j, 1.0, nl)
-    assert g1 == 0.0 and g2 == 0.0
+    assert clamped == 0
+    g1, g2, clamped = g_derivatives(0.0 + 0j, 1.0, nl)
+    assert g1 == 0.0 and g2 == 0.0 and clamped == 0
 
 
 def test_g_derivatives_first_order_taylor():
     nl = power_law(1.0, 3.0)
     u = 0.8 + 0.3j
     denom = 1.7
-    g1, g2 = g_derivatives(u, denom, nl)
+    g1, g2, _ = g_derivatives(u, denom, nl)
     delta = 1e-6 * (1.0 + 1.0j)
     fd = g_times_u(u + delta, denom, nl) - g_times_u(u, denom, nl)
     lin = g1 * delta + g2 * np.conj(delta)
@@ -145,7 +146,7 @@ def test_wirtinger_consistency_random(nl):
     eps = 1e-7
     for _ in range(20):
         u = complex(rng.standard_normal(), rng.standard_normal())
-        g1, g2 = g_derivatives(u, denom, nl)
+        g1, g2, _ = g_derivatives(u, denom, nl)
         # real 2x2 from Wirtinger pair: columns d/dx, d/dy
         J = np.array([[np.real(g1 + g2), np.real(1j * (g1 - g2))],
                       [np.imag(g1 + g2), np.imag(1j * (g1 - g2))]])
@@ -158,11 +159,9 @@ def test_wirtinger_consistency_random(nl):
 
 def test_g_derivatives_clamps_singular_origin():
     nl = power_law(1.0, 2.0)  # q < 3: derivative singular at 0
-    counter = [0]
-    g1, g2 = g_derivatives(np.array([0.0 + 0j, 1.0 + 0j]), 1.0, nl,
-                           clamp_counter=counter)
+    g1, g2, clamped = g_derivatives(np.array([0.0 + 0j, 1.0 + 0j]), 1.0, nl)
     assert g1[0] == 0.0 and g2[0] == 0.0
-    assert counter[0] == 1
+    assert clamped == 1
     assert g1[1] != 0.0
 
 
@@ -170,4 +169,4 @@ def test_g_derivatives_non_finite_raises():
     nl = Nonlinearity(f=lambda s: 2 * s, F=lambda s: s ** 2,
                       fp=lambda s: np.inf + 0 * s)
     with pytest.raises(ModelError, match="not finite at 2 points"):
-        g_derivatives(np.array([0.5 + 0j, 1.0 + 0j]), 1.0, nl, clamp_counter=[0])
+        g_derivatives(np.array([0.5 + 0j, 1.0 + 0j]), 1.0, nl)

@@ -1,3 +1,4 @@
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from sav_nls.model import Nonlinearity, SavState, power_law, r_init
 from sav_nls.problems import soliton
 from sav_nls.stepper import (Assemblies, SlabUnknowns, StepperConfig,
                              _assemble_newton_system, _complex_parts,
-                             _real_parts, _residual_from_data, _stage_data,
+                             _real_parts, _stage_data,
                              advance, integrate, newton_step, num_slabs, residual)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -155,7 +156,7 @@ def test_newton_fixed_point():
     cfg = StepperConfig(tau=0.1, k=2)
     new_state, report = advance(state, cfg, asm, scheme, nl)
     solved = report.stages
-    _, inc, _ = newton_step(state, solved, asm, scheme, nl, cfg.tau)
+    _, inc, _, _ = newton_step(state, solved, asm, scheme, nl, cfg.tau)
     assert inc <= 1e-12
 
 
@@ -392,10 +393,47 @@ def test_chord_step_that_does_not_converge_is_followed_by_an_exact_step(monkeypa
         assert report.factorizations == sum(not chord for chord, _ in steps)
 
 
+class _Factorization:
+    """A SuperLU factorization that a weakref can track (SuperLU cannot)."""
+
+    def __init__(self, lu):
+        self.solve = lu.solve
+
+
+def _count_live_factorizations(monkeypatch):
+    """Route linsolve.factor through weakref-tracked factorizations; returns the
+    number of earlier factorizations still alive at each call."""
+    live, refs, factor = [], [], linsolve.factor
+
+    def tracked_factor(K):
+        live.append(sum(ref() is not None for ref in refs))
+        lu = _Factorization(factor(K))
+        refs.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(linsolve, "factor", tracked_factor)
+    return live
+
+
+def test_no_factorization_outlives_its_use(monkeypatch):
+    # 5 slabs of configs/soliton_conservation.cfg, chord steps included: each
+    # factorization is freed before the next one is made (a live one pins
+    # SuperLU's workspace and raises peak RSS)
+    live = _count_live_factorizations(monkeypatch)
+    cfg = parse_config(str(CONFIGS / "soliton_conservation.cfg"))
+    prob, nl = build_problem(cfg)
+    space = build_space(cfg.a, cfg.b, cfg.M, cfg.p, cfg.bc)
+    scfg = StepperConfig(tau=cfg.tau, k=cfg.k, newton_tol=cfg.newton_tol)
+    summary = integrate(prob.u0, scfg, space, nl, 5 * cfg.tau)
+    assert len(live) == sum(r.factorizations for r in summary.reports) == 20
+    assert live == [0] * len(live)
+
+
 def test_chord_step_solver_error_restarts_like_an_exact_one(monkeypatch):
     # slab 2 from the previous slab's polynomial is exact, exact, exact, chord;
     # a SolverError in that chord solve restarts the slab from the constant
-    # value, as one in an exact step does, bit for bit as a cold start
+    # value, as one in an exact step does, bit for bit as a cold start, and
+    # the failed attempt's factorization is freed before the restart factors
     prob = soliton()
     nl = power_law(prob.kappa, prob.q, c0=1.0)
     space = build_space(prob.a, prob.b, 60, 2, PERIODIC)
@@ -406,8 +444,10 @@ def test_chord_step_solver_error_restarts_like_an_exact_one(monkeypatch):
     assert report.factorizations == report.iterations - 1
     asm, scheme = summary.assemblies, summary.scheme
     cold, cold_report = advance(state1, cfg, asm, scheme, nl)
+    live = _count_live_factorizations(monkeypatch)
     _log_bordered_solves(monkeypatch, fail_chord=True)
     new, report = advance(state1, cfg, asm, scheme, nl, previous=(state0, report1.stages))
+    assert live == [0] * report.factorizations
     assert np.array_equal(new.u, cold.u) and new.r == cold.r
     assert report.increment_history[3:] == [np.inf] + cold_report.increment_history
     assert report.factorizations == 3 + cold_report.factorizations
@@ -596,7 +636,7 @@ def test_real_form_layout_matches_blockwise_loops(k, bc):
                        1.0 + 0.2 * rng.standard_normal(k))
     data = _stage_data(state, unk, asm, scheme, nl, tau, need_jacobian=True)
     system = _assemble_newton_system(unk, asm, scheme, tau, data)
-    res_u, _ = _residual_from_data(unk, data)
+    res_u = data["res_u"]
     alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
     B, C = _loop_layout_reference(data["N"], data["du"], data["G1"], data["X2"],
                                   data["Y2"], alpha, unk.r_stages, data["denoms"], k, n)
