@@ -65,9 +65,8 @@ def lagrange_basis_deriv(nodes, pts):
 
 @dataclass(frozen=True)
 class GaussRule:
-    """k-point Gauss-Legendre rule on [-1, 1]."""
+    """len(nodes)-point Gauss-Legendre rule on [-1, 1]."""
 
-    k: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -90,7 +89,7 @@ def gauss_rule(k):
     x = 0.5 * (x - x[::-1])  # enforce symmetry about 0 exactly
     dp = legendre_deriv(k, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return GaussRule(k=k, nodes=x, weights=w)
+    return GaussRule(nodes=x, weights=w)
 
 
 def shifted_legendre(k, t, slab):

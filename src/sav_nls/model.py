@@ -102,7 +102,8 @@ def g_times_u(u_val, denom, nl):
 def g_derivatives(u_val, denom, nl):
     """Wirtinger derivatives (g1, g2) of g(u)u with the denominator frozen, and the
     number of clamped points: the pointwise part of the Jacobian; the stepper adds
-    the denominator's rank-one term per stage.
+    the denominator's rank-one term per stage.  `denom` broadcasts against `u_val`,
+    so one call covers a (k, M, nq) stack of stages with (k, 1, 1) denominators.
 
     With s = |u|^2: g1 = (f(s) + f'(s) s) / denom and g2 = f'(s) u^2 / denom.
     For power laws with q < 3 the derivative is singular at u = 0; such
@@ -125,6 +126,4 @@ def g_derivatives(u_val, denom, nl):
     bad = ~(np.isfinite(g1) & np.isfinite(g2))
     if np.any(bad):
         raise ModelError(f"g derivatives are not finite at {int(np.count_nonzero(bad))} points")
-    if u_val.ndim == 0:
-        return complex(g1), complex(g2), clamped
     return g1, g2, clamped

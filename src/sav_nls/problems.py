@@ -48,13 +48,13 @@ def soliton(a=-20.0, b=20.0, kappa=2.0, q=3.0):
                    u0=u0, exact=exact, exact_grad=exact_grad)
 
 
-def plane_wave(kappa=0.0, q=3.0, a=0.0, b=1.0, modes=1):
+def plane_wave(kappa=0.0, q=3.0, a=0.0, b=1.0):
     """Progressive wave u = exp(i(beta x + omega t)) with |u| = 1.
 
     Substituting into i u_t - u_xx - f(|u|^2) u = 0 gives
     omega = beta^2 - f(1); kappa = 0 is the free-particle case.
     """
-    beta = 2.0 * np.pi * modes / (b - a)
+    beta = 2.0 * np.pi / (b - a)
     f_one = kappa  # f(1) = kappa * 1^((q-1)/2)
     omega = beta ** 2 - f_one
 

@@ -125,16 +125,15 @@ def _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian):
     loads = np.einsum("kmq,q,ql->kml", g_q * u_q, wh, asm.phi)
     N = np.stack([scatter_vector(space, loads[j]) for j in range(k)])
 
-    data = {"du": du, "dr": dr, "denoms": denoms, "N": N,
+    data = {"du": du, "denoms": denoms, "N": N,
             "res_u": lin - unknowns.r_stages[:, None] * N,
             "res_r": dr - 0.5 * np.real(np.einsum("ki,ki->k", N, du.conj()))}
     if need_jacobian:
-        G1, X2, Y2, clamped = [], [], [], 0
-        for j in range(k):
-            g1_q, g2_q, clamped_j = g_derivatives(u_q[j], denoms[j], nl)
-            clamped += clamped_j
-            loc1 = np.einsum("mq,q,ql,qn->mln", g1_q.real, wh, asm.phi, asm.phi)
-            loc2 = np.einsum("mq,q,ql,qn->mln", g2_q, wh, asm.phi, asm.phi)
+        g1_q, g2_q, clamped = g_derivatives(u_q, denoms[:, None, None], nl)
+        G1, X2, Y2 = [], [], []
+        for j in range(k):   # per stage, so that no temporary is k times larger
+            loc1 = np.einsum("mq,q,ql,qn->mln", g1_q[j].real, wh, asm.phi, asm.phi)
+            loc2 = np.einsum("mq,q,ql,qn->mln", g2_q[j], wh, asm.phi, asm.phi)
             G1.append(scatter_matrix(asm.pattern, loc1))
             X2.append(scatter_matrix(asm.pattern, loc2.real))
             Y2.append(scatter_matrix(asm.pattern, loc2.imag))
@@ -216,9 +215,10 @@ def _assemble_newton_system(unknowns, asm, scheme, tau, data):
         values[slots[2 * j, 2 * j]] = Ad - R[j] * (G1[j].data + X2[j].data)
         values[slots[2 * j + 1, 2 * j + 1]] = Ad - R[j] * (G1[j].data - X2[j].data)
         for m in range(k):
-            coupling = R[j] * Y2[j].data if j == m else 0.0   # x - 0.0 is x, bit for bit
-            values[slots[2 * j, 2 * m + 1]] = -alpha[j, m] * Md - coupling
-            values[slots[2 * j + 1, 2 * m]] = alpha[j, m] * Md - coupling
+            values[slots[2 * j, 2 * m + 1]] = -alpha[j, m] * Md
+            values[slots[2 * j + 1, 2 * m]] = alpha[j, m] * Md
+        values[slots[2 * j, 2 * j + 1]] -= R[j] * Y2[j].data   # the bits of -a M - R Y
+        values[slots[2 * j + 1, 2 * j]] -= R[j] * Y2[j].data
     C = C.reshape(k, 2 * k * n)
     K = sp.csc_matrix((values, indices, indptr), shape=(2 * k * n, 2 * k * n))
 
@@ -262,8 +262,8 @@ def newton_step(state, unknowns, asm, scheme, nl, tau, chord=None):
     return updated, inc, data.get("clamped", 0), lin   # a chord step evaluates no g derivatives
 
 
-def _advance_linear(state, cfg, asm, scheme):
-    """kappa = 0: the stage system is linear and complex; solve it once."""
+def _advance_linear(state, unknowns, cfg, asm, scheme):
+    """kappa = 0: the stage system is linear and complex; solve it once from `unknowns`."""
     k, tau = cfg.k, cfg.tau
     if ("linear", tau, k) not in asm.cache:
         alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
@@ -272,14 +272,13 @@ def _advance_linear(state, cfg, asm, scheme):
                  for m in range(k)] for j in range(k)]
         asm.cache["linear", tau, k] = sp.bmat(grid, format="csc")
 
-    unknowns = SlabUnknowns(np.tile(state.u, (k, 1)), np.full(k, state.r))
     _, res_u = _linear_residual(state, unknowns.u_stages, asm, scheme, tau)
     delta_u = factor(asm.cache["linear", tau, k]).solve(-res_u.reshape(-1)).reshape(k, -1)
     unknowns = SlabUnknowns(unknowns.u_stages + delta_u, unknowns.r_stages)
     inc = _increment_norm(asm, delta_u, np.zeros(k))
 
     _, res_u = _linear_residual(state, unknowns.u_stages, asm, scheme, tau)
-    return unknowns, [inc], _residual_norm(res_u, np.zeros(k)), []
+    return unknowns, [inc], _residual_norm(res_u, np.zeros(k))
 
 
 def _newton(state, unknowns, cfg, asm, scheme, nl, history, factored):
@@ -310,30 +309,30 @@ def advance(state, cfg, asm, scheme, nl, previous=None):
     same tau, Newton starts from that slab's collocation polynomial at this
     slab's Gauss points (Hairer & Wanner, Solving ODEs II, IV.8), and starts
     again from the constant value state if that fails; without it, from the
-    constant value.  The kappa = 0 path ignores `previous`.
+    constant value.  No factorization of a failed start outlives its except
+    block.  The kappa = 0 path ignores `previous`.
     """
     tau, k = cfg.tau, cfg.k
+    constant = SlabUnknowns(np.tile(state.u, (k, 1)), np.full(k, float(state.r)))
     if nl.is_linear:
-        unknowns, history, res_final, warnings = _advance_linear(state, cfg, asm, scheme)
-        factored = [True]   # the kappa = 0 block matrix, once
+        unknowns, history, res_final = _advance_linear(state, constant, cfg, asm, scheme)
+        factored, warnings = [True], []   # the kappa = 0 block matrix, once
     else:
         history, factored, warnings = [], [], []
-        constant = start = SlabUnknowns(np.tile(state.u, (k, 1)), np.full(k, float(state.r)))
+        starts = [constant]
         if previous is not None:
             (prev_state, stages), E = previous, scheme.extrapolation_matrix
-            start = SlabUnknowns(E @ np.vstack([prev_state.u, stages.u_stages]),
-                                 E @ np.append(prev_state.r, stages.r_stages))
-        unknowns = None
-        try:
-            unknowns, clamped = _newton(state, start, cfg, asm, scheme, nl, history, factored)
-        except NumericalError as exc:
-            if start is constant:
-                raise
-            warnings.append(f"restarted Newton from the constant value; the start from the "
-                            f"previous slab's polynomial failed at step {len(history)}: {exc}")
-        if unknowns is None:   # restart after the except block: its traceback keeps the
-            # failed attempt's frames, and with them a factorization, alive
-            unknowns, clamped = _newton(state, constant, cfg, asm, scheme, nl, history, factored)
+            starts.insert(0, SlabUnknowns(E @ np.vstack([prev_state.u, stages.u_stages]),
+                                          E @ np.append(prev_state.r, stages.r_stages)))
+        for start in starts:
+            try:
+                unknowns, clamped = _newton(state, start, cfg, asm, scheme, nl, history, factored)
+                break
+            except NumericalError as exc:
+                if start is starts[-1]:
+                    raise
+                warnings.append(f"restarted Newton from the constant value; the start from the "
+                                f"previous slab's polynomial failed at step {len(history)}: {exc}")
         if clamped:
             warnings.append(f"clamped singular g derivatives at {clamped} points")
         res_final = _residual_norm(*residual(state, unknowns, asm, scheme, nl, tau))
@@ -353,6 +352,8 @@ def num_slabs(T, tau):
     if tau == 0 or not (np.isfinite(T) and np.isfinite(tau)):
         raise ConfigurationError(f"T={T} and tau={tau} must be finite, tau nonzero")
     ratio = T / tau
+    if not np.isfinite(ratio):
+        raise ConfigurationError(f"T={T} / tau={tau} is not a finite slab count")
     N = int(round(ratio))
     if N < 0 or abs(ratio - N) > 1e-9 * max(1.0, abs(ratio)):
         raise ConfigurationError(f"T={T} is not an integer multiple of tau={tau}")

@@ -346,6 +346,8 @@ def test_zero_newton_iterations_is_usage_error(tmp_path, capsys):
     ("two", ["sweep-time"], "usage error: SAV_NLS_THREADS"),
     # last, so that the ids of the cases above keep their index
     ("1", ["run", "--nq", "9"], "configuration error: quadrature point count nq=9 outside"),
+    ("1", ["run", "--T", "1e300", "--tau", "1e-300"],
+     "usage error: T=1e+300 / tau=1e-300 is not a finite slab count"),
 ])
 def test_rejected_configuration_writes_nothing(tmp_path, capsys, monkeypatch, threads, argv,
                                                message):

@@ -165,6 +165,24 @@ def test_g_derivatives_clamps_singular_origin():
     assert g1[1] != 0.0
 
 
+@pytest.mark.parametrize("q", [3.0, 2.0])
+def test_g_derivatives_of_a_stage_stack_equal_per_stage_calls(q):
+    """One call on (k, M, nq) stage values with (k, 1, 1) denominators gives the
+    bits and the clamp count of k calls, one per stage."""
+    nl = power_law(-1.5, q)
+    rng = np.random.default_rng(7)
+    k, M, nq = 3, 11, 4
+    u = rng.standard_normal((k, M, nq)) + 1j * rng.standard_normal((k, M, nq))
+    if q < 3:
+        u[0, 2, 1] = u[2, 5, :2] = u[2, 10, 3] = 0.0   # clamped singular points
+    denoms = rng.uniform(0.5, 2.0, k)
+    g1, g2, clamped = g_derivatives(u, denoms[:, None, None], nl)
+    per_stage = [g_derivatives(u[j], denoms[j], nl) for j in range(k)]
+    assert np.array_equal(g1, np.stack([g[0] for g in per_stage]))
+    assert np.array_equal(g2, np.stack([g[1] for g in per_stage]))
+    assert clamped == sum(g[2] for g in per_stage) == (4 if q < 3 else 0)
+
+
 def test_g_derivatives_non_finite_raises():
     nl = Nonlinearity(f=lambda s: 2 * s, F=lambda s: s ** 2,
                       fp=lambda s: np.inf + 0 * s)

@@ -44,6 +44,8 @@ def test_config_validation():
     for T, tau in ((np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, np.inf), (1.0, 0.0)):
         with pytest.raises(ConfigurationError, match="finite"):
             num_slabs(T, tau)
+    with pytest.raises(ConfigurationError, match="not a finite slab count"):
+        num_slabs(2.0, 5e-324)   # T / tau overflows to inf
     assert num_slabs(1.0, 0.05) == 20
     assert num_slabs(0.0, 0.1) == 0
 
@@ -771,7 +773,8 @@ def test_real_operators_give_the_bits_of_complex_copies(p, bc):
     du, lin = stepper._linear_residual(state, u_stages, asm, scheme, tau)
     assert np.array_equal(lin, (1j * (mass_c @ du.T) + stiff_c @ u_stages.T).T)
 
-    stepper._advance_linear(state, StepperConfig(tau=tau, k=k), asm, scheme)
+    constant = SlabUnknowns(np.tile(u, (k, 1)), np.full(k, state.r))
+    stepper._advance_linear(state, constant, StepperConfig(tau=tau, k=k), asm, scheme)
     alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
     block = sp.bmat([[1j * alpha[j, m] * mass_c + stiff_c if j == m
                       else 1j * alpha[j, m] * mass_c for m in range(k)] for j in range(k)],
