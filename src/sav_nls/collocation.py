@@ -5,6 +5,7 @@ chain-rule factor) is applied by callers.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,8 +72,10 @@ class GaussRule:
     weights: np.ndarray
 
 
+@lru_cache(maxsize=MAX_ORDER)
 def gauss_rule(k):
-    """Gauss-Legendre nodes/weights of order k on [-1, 1].
+    """Gauss-Legendre nodes/weights of order k on [-1, 1], built once per order;
+    the arrays are read-only, since every caller shares them.
 
     Nodes are the roots of P_k, found by Newton iteration from Chebyshev
     initial guesses; weights are 2 / ((1 - c^2) P_k'(c)^2).
@@ -89,6 +92,7 @@ def gauss_rule(k):
     x = 0.5 * (x - x[::-1])  # enforce symmetry about 0 exactly
     dp = legendre_deriv(k, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False
     return GaussRule(nodes=x, weights=w)
 
 

@@ -50,8 +50,9 @@ class FemSpace:
 
 def build_space(a, b, num_elements, degree, bc):
     """Construct the degree-`degree` FE space on [a, b] with `num_elements` cells."""
-    if not a < b:
-        raise ConfigurationError(f"domain endpoints invalid: a={a} must be < b={b}")
+    if not -np.inf < a < b < np.inf:
+        raise ConfigurationError(
+            f"domain endpoints invalid: a={a} must be < b={b}, both finite")
     if num_elements < 2:
         raise ConfigurationError(f"num_elements={num_elements} must be >= 2")
     if not 1 <= degree <= MAX_DEGREE:
@@ -177,18 +178,6 @@ def element_coefficients(space, v):
     return np.take(padded, space.dof_map, axis=-1)
 
 
-def element_values(space, v, ref_pts):
-    """Values and derivatives of the FE function on every element.
-
-    ref_pts are reference coordinates in [0, 1]; returns (u, du) arrays of
-    shape (num_elements, len(ref_pts)).
-    """
-    phi = lagrange_basis(space.ref_nodes, ref_pts)
-    dphi = lagrange_basis_deriv(space.ref_nodes, ref_pts)
-    local = element_coefficients(space, v)
-    return local @ phi.T, (local @ dphi.T) / space.mesh.h
-
-
 def evaluate(space, v, x):
     """(value, derivative) of the FE function at a point x in [a, b]."""
     mesh = space.mesh
@@ -196,23 +185,20 @@ def evaluate(space, v, x):
         raise InputError(f"evaluation point x={x} outside [{mesh.a}, {mesh.b}]")
     e = min(int((x - mesh.a) / mesh.h), mesh.num_elements - 1)
     xi = (x - mesh.a) / mesh.h - e
-    u, du = element_values(space, v, np.array([xi]))
-    return u[e, 0], du[e, 0]
-
-
-def quadrature_coords(space, ref_pts):
-    """Physical coordinates of the per-element reference points; shape (M, nq)."""
-    mesh = space.mesh
-    return mesh.a + (np.arange(mesh.num_elements)[:, None] + ref_pts[None, :]) * mesh.h
+    local = element_coefficients(space, v)[e]
+    return (local @ lagrange_basis(space.ref_nodes, xi)[0],
+            (local @ lagrange_basis_deriv(space.ref_nodes, xi)[0]) / mesh.h)
 
 
 def error_norms(space, v, exact, exact_grad):
     """(L2, H1) errors of the FE function against exact/exact_grad, on p+3 Gauss points."""
-    pts, wts = reference_quadrature(space.degree + 3)
-    u, du = element_values(space, v, pts)
-    x = quadrature_coords(space, pts)
+    mesh = space.mesh
+    pts, wts, phi, dphi = basis_tables(space, space.degree + 3)
+    local = element_coefficients(space, v)
+    u, du = local @ phi.T, (local @ dphi.T) / mesh.h
+    x = mesh.a + (np.arange(mesh.num_elements)[:, None] + pts[None, :]) * mesh.h
     ue = np.asarray(exact(x), dtype=np.complex128)
     ge = np.asarray(exact_grad(x), dtype=np.complex128)
-    l2_sq = space.mesh.h * np.sum(wts[None, :] * np.abs(u - ue) ** 2)
-    grad_sq = space.mesh.h * np.sum(wts[None, :] * np.abs(du - ge) ** 2)
+    l2_sq = mesh.h * np.sum(wts[None, :] * np.abs(u - ue) ** 2)
+    grad_sq = mesh.h * np.sum(wts[None, :] * np.abs(du - ge) ** 2)
     return float(np.sqrt(l2_sq)), float(np.sqrt(l2_sq + grad_sq))

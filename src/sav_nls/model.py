@@ -35,8 +35,8 @@ class Nonlinearity:
     q: float = None
 
     def __post_init__(self):
-        if self.c0 <= 0:
-            raise ConfigurationError(f"c0={self.c0} must be positive")
+        if not 0 < self.c0 < np.inf:
+            raise ConfigurationError(f"c0={self.c0} must be positive and finite")
         if not all(callable(fn) for fn in (self.f, self.F, self.fp)):
             raise ConfigurationError("custom nonlinearity needs f, F and f'")
         _check_antiderivative(self)
@@ -47,11 +47,12 @@ class Nonlinearity:
 
 
 def _check_antiderivative(nl, step=1e-6, rtol=1e-6):
-    """Verify F' = f by central differences at a few sample points."""
+    """Verify F' = f by central differences at a few sample points; a NaN or
+    infinite F or f fails."""
     for s in _FPRIME_CHECK_POINTS:
         fd = (nl.F(s + step) - nl.F(s - step)) / (2.0 * step)
         f = nl.f(s)
-        if abs(fd - f) > rtol * max(1.0, abs(f)):
+        if not abs(fd - f) <= rtol * max(1.0, abs(f)):
             raise ConfigurationError(
                 f"F' != f at s={s}: finite difference {fd}, f(s)={f}")
 
@@ -61,8 +62,10 @@ def power_law(kappa, q, c0=1.0):
     carries the sign (kappa > 0 "focusing-style" forcing term in this sign
     convention, kappa = 0 the free Schrodinger equation)."""
     kappa, q = float(kappa), float(q)
-    if q <= 1:
-        raise ConfigurationError(f"power-law exponent q={q} must be > 1")
+    if not np.isfinite(kappa):
+        raise ConfigurationError(f"power-law coefficient kappa={kappa} must be finite")
+    if not 1 < q < np.inf:
+        raise ConfigurationError(f"power-law exponent q={q} must be > 1 and finite")
     return Nonlinearity(
         f=lambda s: kappa * np.power(s, (q - 1.0) / 2.0),
         F=lambda s: kappa * (2.0 / (q + 1.0)) * np.power(s, (q + 1.0) / 2.0),
@@ -89,8 +92,9 @@ def r_init(asm, u0, nl):
     """Initial auxiliary scalar r0 = sqrt(int F(|u0|^2)/2 dx + c0); the same
     functional is the denominator of g(u)."""
     radicand = 0.5 * integral_F(asm, u0, nl) + nl.c0
-    if radicand <= 0:
-        raise ModelError(f"SAV radicand {radicand} is nonpositive")
+    if not 0 < radicand < np.inf:
+        raise ModelError(f"SAV radicand {radicand} is "
+                         f"{'nonpositive' if radicand <= 0 else 'not finite'}")
     return float(np.sqrt(radicand))
 
 

@@ -8,6 +8,7 @@ import pytest
 from sav_nls import cli
 from sav_nls.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_problem,
                          main, parse_config, run_single, run_sweep)
+from sav_nls.collocation import gauss_rule
 from sav_nls.errors import (InputError, ModelError, NumericalError, SolverError,
                             StepError, UsageError)
 
@@ -307,6 +308,16 @@ def test_check_is_a_run_flag(tmp_path):
               "--out-dir", str(tmp_path / "out")])
     assert exc.value.code == EXIT_USAGE
     assert not (tmp_path / "out").exists()
+
+
+def test_a_second_run_builds_no_gauss_rule(tmp_path):
+    """Every Gauss rule of a run (the config checks, the collocation scheme, the FE
+    operators and the error norms) comes from the one cache entry per order."""
+    argv = ["run", "--config", CONSERVATION_CFG, "--p", "4", "--T", "0.2"]
+    assert main(argv + ["--out-dir", str(tmp_path / "first")]) == EXIT_OK
+    misses = gauss_rule.cache_info().misses
+    assert main(argv + ["--out-dir", str(tmp_path / "second")]) == EXIT_OK
+    assert gauss_rule.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("error", [InputError, ModelError, SolverError, StepError])

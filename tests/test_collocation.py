@@ -44,6 +44,17 @@ def test_gauss_rule_matches_numpy(k):
     np.testing.assert_allclose(rule.weights, weights, atol=1e-14)
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_gauss_rule_is_built_once_and_read_only(k):
+    rule = gauss_rule(k)
+    assert gauss_rule(k) is rule
+    for arr in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+
+
 def test_gauss_rule_rejects_bad_order():
     with pytest.raises(ConfigurationError):
         gauss_rule(0)

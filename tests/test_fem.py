@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from sav_nls.collocation import lagrange_basis, lagrange_basis_deriv
 from sav_nls.errors import ConfigurationError, InputError
 from sav_nls.fem import (DIRICHLET, PERIODIC, assemble_mass, assemble_stiffness,
                          basis_tables, build_space, element_coefficients, error_norms,
-                         evaluate, interpolate)
+                         evaluate, interpolate, reference_quadrature)
 
 
 def sech(x):
@@ -30,6 +31,7 @@ def test_build_space_shared_nodes():
     (dict(a=0, b=1, num_elements=4, degree=5, bc=PERIODIC), "degree"),
     (dict(a=1, b=0, num_elements=4, degree=1, bc=PERIODIC), "a="),
     (dict(a=0, b=1, num_elements=4, degree=1, bc="neumann"), "bc"),
+    (dict(a=-np.inf, b=1, num_elements=4, degree=1, bc=PERIODIC), "a="),
 ])
 def test_build_space_rejects_bad_input(kwargs, msg):
     with pytest.raises(ConfigurationError, match=msg):
@@ -233,3 +235,46 @@ def test_error_norms_first_order_rate_for_p1():
         h1.append(error_norms(space, v, exact, grad)[1])
     ratio = h1[0] / h1[1]
     assert 1.9 <= ratio <= 2.1
+
+
+def _values_on_every_element(space, v, ref_pts):
+    """(u, du) of v at ref_pts on every element, shape (M, len(ref_pts)), with Lagrange
+    tables of its own: the former evaluation path of error_norms and evaluate."""
+    phi = lagrange_basis(space.ref_nodes, ref_pts)
+    dphi = lagrange_basis_deriv(space.ref_nodes, ref_pts)
+    local = element_coefficients(space, v)
+    return local @ phi.T, (local @ dphi.T) / space.mesh.h
+
+
+def _error_norms_reference(space, v, exact, exact_grad):
+    pts, wts = reference_quadrature(space.degree + 3)
+    u, du = _values_on_every_element(space, v, pts)
+    mesh = space.mesh
+    x = mesh.a + (np.arange(mesh.num_elements)[:, None] + pts[None, :]) * mesh.h
+    ue = np.asarray(exact(x), dtype=np.complex128)
+    ge = np.asarray(exact_grad(x), dtype=np.complex128)
+    l2_sq = mesh.h * np.sum(wts[None, :] * np.abs(u - ue) ** 2)
+    grad_sq = mesh.h * np.sum(wts[None, :] * np.abs(du - ge) ** 2)
+    return float(np.sqrt(l2_sq)), float(np.sqrt(l2_sq + grad_sq))
+
+
+@pytest.mark.parametrize("M", [2, 5])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_error_norms_and_evaluate_match_the_per_element_path(p, bc, M):
+    """error_norms, on the shared basis tables, gives the bits of the former
+    evaluation on every element; evaluate agrees with it at points inside elements
+    and on their boundaries."""
+    space = build_space(-1.5, 2.0, M, p, bc)
+    rng = np.random.default_rng(10 * p + M)
+    v = rng.standard_normal(space.num_dofs) + 1j * rng.standard_normal(space.num_dofs)
+    exact = lambda x: np.exp(1j * x) * np.cos(x)
+    grad = lambda x: 1j * np.exp(1j * x) * np.cos(x) - np.exp(1j * x) * np.sin(x)
+    assert error_norms(space, v, exact, grad) == _error_norms_reference(space, v, exact, grad)
+
+    h = space.mesh.h
+    for x in (-1.5, -1.5 + 0.3 * h, -1.5 + h, 2.0 - 0.6 * h, 2.0):
+        e = min(int((x + 1.5) / h), M - 1)
+        u, du = _values_on_every_element(space, v, np.array([(x + 1.5) / h - e]))
+        np.testing.assert_allclose(evaluate(space, v, x), (u[e, 0], du[e, 0]),
+                                   rtol=1e-14, atol=1e-14)

@@ -17,6 +17,10 @@ def test_power_law_validation():
         power_law(1.0, 0.5)
     with pytest.raises(ConfigurationError):
         power_law(1.0, 3.0, c0=0.0)
+    for kappa, q, c0 in [(2, 3, np.nan), (2, 3, np.inf), (np.nan, 3, 1), (np.inf, 3, 1),
+                         (2, np.nan, 1), (2, np.inf, 1)]:
+        with pytest.raises(ConfigurationError):
+            power_law(kappa, q, c0=c0)
 
 
 def test_custom_antiderivative_check():
@@ -24,6 +28,9 @@ def test_custom_antiderivative_check():
     assert nl.f(1.5) == 3.0
     with pytest.raises(ConfigurationError, match="F'"):
         Nonlinearity(f=lambda s: 2 * s, F=lambda s: s ** 3, fp=lambda s: 2.0 + 0 * s)
+    for F in (lambda s: np.nan * s, lambda s: np.inf * s):
+        with pytest.raises(ConfigurationError, match="F'"):
+            Nonlinearity(f=lambda s: 2 * s, F=F, fp=lambda s: 2.0 + 0 * s)
 
 
 def test_custom_nonlinearity_needs_callables():
@@ -92,6 +99,10 @@ def test_r_init_nonpositive_radicand():
     u0 = interpolate(asm.space, lambda x: 2.0)
     with pytest.raises(ModelError, match="radicand"):
         r_init(asm, u0, nl)
+    # |u0|^2 overflows, so the radicand is infinite
+    huge = interpolate(asm.space, lambda x: 1e160)
+    with np.errstate(over="ignore"), pytest.raises(ModelError, match="radicand inf"):
+        r_init(asm, huge, MASS_DENSITY)
 
 
 def test_denominator_phase_invariance():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from sav_nls import diagnostics, fem, linsolve, stepper
 from sav_nls.cli import _prepare, build_problem, parse_config
-from sav_nls.collocation import SlabPolynomial, collocation_scheme, temporal_l2_project
+from sav_nls.collocation import (SlabPolynomial, collocation_scheme, lagrange_basis,
+                                 temporal_l2_project)
 from sav_nls.diagnostics import InternalMassObserver, RunRecorder
 from sav_nls.errors import ConfigurationError, SolverError, StepError
 from sav_nls.fem import DIRICHLET, PERIODIC, build_space, interpolate
@@ -741,7 +742,7 @@ def _integrate_density_reference(space, v, F, nq):
     """int F(|v|^2) dx as fem.integrate_density computed it, with basis tables of
     its own."""
     pts, wts = fem.reference_quadrature(nq)
-    u, _ = fem.element_values(space, v, pts)
+    u = fem.element_coefficients(space, v) @ lagrange_basis(space.ref_nodes, pts).T
     return float(space.mesh.h * np.sum(wts[None, :] * F(np.abs(u) ** 2)))
 
 
