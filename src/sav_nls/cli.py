@@ -153,9 +153,9 @@ def build_problem(cfg):
 
 
 def _prepare(cfg):
-    """(problem, nonlinearity, space, StepperConfig) of a config, with the
-    slab count, k and nq checked, so that a rejected configuration raises
-    before any output exists."""
+    """(problem, run) of a config, with the space, slab count, k and nq checked
+    so that a rejected configuration raises before any output exists;
+    run(observers) returns the NumericalError that ended the run, or None."""
     space = build_space(cfg.a, cfg.b, cfg.M, cfg.p, cfg.bc)
     prob, nl = build_problem(cfg)
     stepper_cfg = StepperConfig(tau=cfg.tau, k=cfg.k, newton_tol=cfg.newton_tol,
@@ -164,19 +164,15 @@ def _prepare(cfg):
     gauss_rule(cfg.k)
     if cfg.nq:
         reference_quadrature(cfg.nq)
-    return prob, nl, space, stepper_cfg
 
-
-def _integrate(cfg, setup, observers):
-    """Integrate the problem that _prepare(cfg) built with the observers; the
-    NumericalError that ended the run, or None."""
-    prob, nl, space, stepper_cfg = setup
-    try:
-        integrate(prob.u0, stepper_cfg, space, nl, cfg.T, observers=observers,
-                  nq=cfg.nq or None)
-    except NumericalError as exc:
-        return exc
-    return None
+    def run(observers):
+        try:
+            integrate(prob.u0, stepper_cfg, space, nl, cfg.T, observers=observers,
+                      nq=cfg.nq or None)
+        except NumericalError as exc:
+            return exc
+        return None
+    return prob, run
 
 
 def _fmt(x):
@@ -211,53 +207,47 @@ def run_single(cfg, out_dir=".", check=False):
     Returns an exit code: 0 when every slab converged (and, with check=True,
     every conservation assertion passed), 3 on numerical failure.
     """
-    setup = _prepare(cfg)
+    prob, run = _prepare(cfg)
     _make_out_dir(out_dir)
-    prob = setup[0]
     recorder = RunRecorder(exact=prob.exact, exact_grad=prob.exact_grad)
     internal = InternalMassObserver()
-    failure = _integrate(cfg, setup, (recorder, internal))
+    failure = run((recorder, internal))
+    records = recorder.records
 
-    rows = []
-    ref = recorder.records[0] if recorder.records else None
-    for rec in recorder.records:
-        rows.append([
-            _fmt(rec.t), _fmt(rec.mass), _fmt(rec.mass - ref.mass),
-            _fmt(rec.sav_energy), _fmt(rec.sav_energy - ref.sav_energy),
-            _fmt(rec.original_energy), _fmt(rec.h1_error), str(rec.newton_iters),
-        ])
+    rows = [[_fmt(rec.t), _fmt(rec.mass), _fmt(rec.mass - records[0].mass),
+             _fmt(rec.sav_energy), _fmt(rec.sav_energy - records[0].sav_energy),
+             _fmt(rec.original_energy), _fmt(rec.h1_error), str(rec.newton_iters)]
+            for rec in records]
     if failure is not None:
-        failed_t = (recorder.records[-1].t + cfg.tau) if recorder.records else cfg.tau
+        failed_t = (records[-1].t if records else 0.0) + cfg.tau
         rows.append([_fmt(failed_t), "", "", "", "", "", "", "-1"])
     _write_csv(os.path.join(out_dir, "timeseries.csv"),
                ["t", "mass", "mass_drift", "sav_energy", "sav_energy_drift",
                 "original_energy", "h1_error", "newton_iters"], rows)
 
-    conservation_ok = (recorder.records
-                       and recorder.max_mass_drift <= MASS_DRIFT_REL * abs(ref.mass)
-                       and recorder.max_sav_energy_drift <= SAV_ENERGY_DRIFT_ABS)
-    last = recorder.records[-1] if recorder.records else None
-    errors = [r.h1_error for r in recorder.records if r.h1_error is not None]
-    linf_h1 = np.max(errors) if errors else None   # NaN propagates; max() would drop it
+    conservation_ok, values = False, [""] * 7   # a run that failed before its first record
+    if records:
+        last = records[-1]
+        mass_drift, energy_drift = recorder.max_mass_drift, recorder.max_sav_energy_drift
+        conservation_ok = (mass_drift <= MASS_DRIFT_REL * abs(records[0].mass)
+                           and energy_drift <= SAV_ENERGY_DRIFT_ABS)
+        errors = [r.h1_error for r in records if r.h1_error is not None]
+        linf_h1 = np.max(errors) if errors else None   # NaN propagates; max() would drop it
+        values = [_fmt(last.t), _fmt(last.l2_error), _fmt(last.h1_error), _fmt(linf_h1),
+                  _fmt(mass_drift), _fmt(energy_drift), str(recorder.max_newton_iters)]
     _write_csv(os.path.join(out_dir, "summary.csv"),
                ["T", "l2_error", "h1_error", "linf_h1_error", "max_mass_drift",
                 "max_sav_energy_drift", "max_newton_iters", "conservation_ok",
                 "internal_mass_ok", "converged"],
-               [[_fmt(last.t if last else None), _fmt(last.l2_error if last else None),
-                 _fmt(last.h1_error if last else None), _fmt(linf_h1),
-                 _fmt(recorder.max_mass_drift if recorder.records else None),
-                 _fmt(recorder.max_sav_energy_drift if recorder.records else None),
-                 str(recorder.max_newton_iters if recorder.records else ""),
-                 str(int(bool(conservation_ok))), str(int(internal.all_ok)),
-                 str(int(failure is None))]])
+               [values + [str(int(ok)) for ok in (conservation_ok, internal.all_ok,
+                                                   failure is None)]])
 
     if failure is not None:
         print(f"run failed: {failure}", file=sys.stderr)
         return EXIT_NUMERICAL
     if check and not (conservation_ok and internal.all_ok):
         print("conservation/internal-mass assertion failed "
-              f"(mass drift {recorder.max_mass_drift:.3e}, "
-              f"energy drift {recorder.max_sav_energy_drift:.3e}, "
+              f"(mass drift {mass_drift:.3e}, energy drift {energy_drift:.3e}, "
               f"internal mass ok={internal.all_ok})", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
@@ -265,9 +255,9 @@ def run_single(cfg, out_dir=".", check=False):
 
 def _sweep_entry(cfg):
     """One sweep run (executed possibly in a worker process)."""
-    setup = _prepare(cfg)
-    observer = TrajectoryErrorObserver(setup[0].exact, setup[0].exact_grad)
-    failure = _integrate(cfg, setup, (observer,))
+    prob, run = _prepare(cfg)
+    observer = TrajectoryErrorObserver(prob.exact, prob.exact_grad)
+    failure = run((observer,))
     return (observer.linf_h1, "") if failure is None else (np.nan, str(failure))
 
 
@@ -287,9 +277,8 @@ def run_sweep(cfg, key, out_dir="."):
     if not values:
         raise UsageError(f"sweep-{study} needs a nonempty {key}_list")
     runs = [replace(cfg, **{key: value}) for value in values]
-    for run in runs:
-        if _prepare(run)[0].exact is None:
-            raise UsageError("convergence sweeps need a problem with an exact solution")
+    if any(prob.exact is None for prob, _ in map(_prepare, runs)):
+        raise UsageError("convergence sweeps need a problem with an exact solution")
     env = os.environ.get("SAV_NLS_THREADS")
     try:
         workers = max(1, min(int(env) if env else (os.cpu_count() or 1), len(runs)))

@@ -184,7 +184,8 @@ def temporal_ritz_project(fn, k, slab, dfn=None):
     projection the L2 projection of fn' onto degree k-1, via the explicit
     Legendre-coefficient formula.  fn' is `dfn` when supplied, otherwise a
     central finite difference with step 1e-7.  Inner integrals use a
-    (k+2)-point Gauss rule.
+    min(k+2, MAX_ORDER)-point Gauss rule, exact for the degree-(2k-2)
+    products of a degree-k fn for every k <= MAX_ORDER.
     """
     t0, t1 = slab
     tau = t1 - t0
@@ -194,7 +195,7 @@ def temporal_ritz_project(fn, k, slab, dfn=None):
         def dfn(t):
             return (fn(t + 1e-7) - fn(t - 1e-7)) / 2e-7
 
-    quad = gauss_rule(k + 2)
+    quad = gauss_rule(min(k + 2, MAX_ORDER))
     t_quad = t0 + 0.5 * tau * (1.0 + quad.nodes)
     du = np.array([dfn(t) for t in t_quad])
     # a_j = int L_j fn' dt / int L_j^2 dt, with int L_j^2 dt = tau / (2j+1)

@@ -6,6 +6,7 @@ arrays of length num_dofs; the basis is real, so the mass and stiffness
 operators are real CSR matrices, assembled with exact Gauss quadrature.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,9 @@ def build_space(a, b, num_elements, degree, bc):
     if not -np.inf < a < b < np.inf:
         raise ConfigurationError(
             f"domain endpoints invalid: a={a} must be < b={b}, both finite")
+    for name, value in (("num_elements", num_elements), ("degree", degree)):
+        if not isinstance(value, numbers.Integral):   # numpy integers pass
+            raise ConfigurationError(f"{name}={value!r} must be an integer")
     if num_elements < 2:
         raise ConfigurationError(f"num_elements={num_elements} must be >= 2")
     if not 1 <= degree <= MAX_DEGREE:

@@ -15,7 +15,8 @@ import numpy as np
 from .errors import ConfigurationError, ModelError
 from .fem import element_coefficients
 
-_FPRIME_CHECK_POINTS = (0.1, 0.5, 1.0, 2.0)
+_FPRIME_CHECK_POINTS = (0.1, 0.5, 1.0, 2.0)   # where F' = f is checked
+_FPRIME_STEP = _FPRIME_RTOL = 1e-6   # central-difference step and relative tolerance there
 _CLAMP_RADIUS = 1e-14
 
 
@@ -46,13 +47,13 @@ class Nonlinearity:
         return self.kappa == 0.0
 
 
-def _check_antiderivative(nl, step=1e-6, rtol=1e-6):
+def _check_antiderivative(nl):
     """Verify F' = f by central differences at a few sample points; a NaN or
     infinite F or f fails."""
     for s in _FPRIME_CHECK_POINTS:
-        fd = (nl.F(s + step) - nl.F(s - step)) / (2.0 * step)
+        fd = (nl.F(s + _FPRIME_STEP) - nl.F(s - _FPRIME_STEP)) / (2.0 * _FPRIME_STEP)
         f = nl.f(s)
-        if not abs(fd - f) <= rtol * max(1.0, abs(f)):
+        if not abs(fd - f) <= _FPRIME_RTOL * max(1.0, abs(f)):
             raise ConfigurationError(
                 f"F' != f at s={s}: finite difference {fd}, f(s)={f}")
 

@@ -18,6 +18,7 @@ converged exact step is followed by a chord step with its factorization (see
 _newton).  The linear (kappa = 0) problem short-circuits to one complex solve.
 """
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +40,9 @@ class StepperConfig:
     max_newton_iters: int = 25
 
     def __post_init__(self):
+        for name, value in (("k", self.k), ("max_newton_iters", self.max_newton_iters)):
+            if not isinstance(value, numbers.Integral):   # numpy integers pass
+                raise ConfigurationError(f"{name}={value!r} must be an integer")
         if self.tau == 0 or not np.isfinite(self.tau):
             raise ConfigurationError(f"tau={self.tau} must be finite and nonzero")
         if not 0 < self.newton_tol < np.inf:

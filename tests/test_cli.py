@@ -186,6 +186,28 @@ def test_run_single_failure_row_and_exit_code(tmp_path):
     assert lines[-1].split(",")[-1] == "-1"  # failure marker row
 
 
+def test_failure_after_the_initial_record_summary(tmp_path):
+    # slab 1 fails: the summary describes the one recorded (initial) state
+    out = tmp_path / "out"
+    assert main(["run", "--config", CONSERVATION_CFG, "--T", "0.4", "--max-newton-iters", "2",
+                 "--out-dir", str(out)]) == EXIT_NUMERICAL
+    header, row = (line.split(",") for line in (out / "summary.csv").read_text().splitlines())
+    summary = dict(zip(header, row))
+    assert [summary[key] for key in ("T", "max_mass_drift", "max_sav_energy_drift",
+                                     "max_newton_iters")] == ["0.0000000000e+00"] * 3 + ["0"]
+    assert row[-3:] == ["1", "1", "0"]
+
+
+def test_check_failure_exit_code_and_flags(tmp_path, capsys):
+    # a loose Newton tolerance converges every slab but drifts the mass by 4.5e-8
+    out = tmp_path / "out"
+    assert main(["run", "--config", CONSERVATION_CFG, "--T", "0.4", "--newton-tol", "1e-2",
+                 "--check", "--out-dir", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(
+        "conservation/internal-mass assertion failed (mass drift 4.498e-08, ")
+    assert (out / "summary.csv").read_text().splitlines()[1].split(",")[-3:] == ["0", "1", "1"]
+
+
 SWEEP = """
 problem = soliton
 M = 50

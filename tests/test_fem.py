@@ -16,6 +16,7 @@ def test_build_space_dof_counts():
     assert build_space(0, 1, 10, 1, DIRICHLET).num_dofs == 9
     assert build_space(0, 1, 10, 1, PERIODIC).num_dofs == 10
     assert build_space(-20, 20, 5000, 3, PERIODIC).num_dofs == 15000
+    assert build_space(0, 1, np.int64(10), np.int32(1), PERIODIC).num_dofs == 10
 
 
 def test_build_space_shared_nodes():
@@ -32,6 +33,11 @@ def test_build_space_shared_nodes():
     (dict(a=1, b=0, num_elements=4, degree=1, bc=PERIODIC), "a="),
     (dict(a=0, b=1, num_elements=4, degree=1, bc="neumann"), "bc"),
     (dict(a=-np.inf, b=1, num_elements=4, degree=1, bc=PERIODIC), "a="),
+    (dict(a=0, b=1, num_elements=2.5, degree=2, bc=PERIODIC),
+     "num_elements=2.5 must be an integer"),
+    (dict(a=0, b=1, num_elements=4.0, degree=1, bc=PERIODIC),
+     "num_elements=4.0 must be an integer"),
+    (dict(a=0, b=1, num_elements=4, degree=2.0, bc=PERIODIC), "degree=2.0 must be an integer"),
 ])
 def test_build_space_rejects_bad_input(kwargs, msg):
     with pytest.raises(ConfigurationError, match=msg):

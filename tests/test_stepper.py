@@ -49,6 +49,11 @@ def test_config_validation():
         num_slabs(2.0, 5e-324)   # T / tau overflows to inf
     assert num_slabs(1.0, 0.05) == 20
     assert num_slabs(0.0, 0.1) == 0
+    for bad in ({"k": 2.5}, {"k": 2.0}, {"max_newton_iters": 2.5}):
+        key = next(iter(bad))
+        with pytest.raises(ConfigurationError, match=f"{key}={bad[key]} must be an integer"):
+            StepperConfig(**{"tau": 0.1, "k": 2, **bad})
+    assert StepperConfig(tau=0.1, k=np.int64(2), max_newton_iters=np.int32(3)).k == 2
 
 
 def test_residual_zero_state_is_zero():
@@ -296,11 +301,12 @@ def test_every_slab_meets_the_residual_gate(config, overrides):
     """The final collocation residual of every slab is at most 10 newton_tol
     (worst slabs 3.6e-14, 3.5e-14 and 2.4e-11 against 1e-9)."""
     cfg = parse_config(str(ROOT / config), overrides)
-    prob, nl, space, scfg = _prepare(cfg)
-    summary = integrate(prob.u0, scfg, space, nl, cfg.T)
-    assert summary.num_slabs == len(summary.reports) > 0
-    worst = max(report.residual_final for report in summary.reports)
-    assert worst <= 10 * scfg.newton_tol
+    log = _SlabLog()
+    _, run = _prepare(cfg)
+    assert run((log,)) is None
+    assert len(log.slabs) == num_slabs(cfg.T, cfg.tau) > 0
+    worst = max(report.residual_final for _, _, report in log.slabs)
+    assert worst <= 10 * cfg.newton_tol
 
 
 def test_newton_converges_quadratically():

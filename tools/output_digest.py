@@ -5,11 +5,12 @@ Runs each case in-process through ``sav_nls.cli.main`` from this checkout's
 per CSV.  The two ``power_law`` runs pin a non-cubic power law and the
 ``q < 3`` branch of the nonlinearity, the ``k1`` and ``k4`` runs the
 nonlinear solve at one and at four stages, and the ``p4`` run the quartic
-space with its 7-point error rule.  The last three cases are runs that
-fail (exit 3) and a sweep whose every entry fails, so the CSVs of failed
-runs are pinned too.  Two
-checkouts give the same output bytes exactly when the printed lines are the
-same, so comparing two commits is one ``diff`` of this script's output:
+space with its 7-point error rule.  The last four cases are runs that
+fail (exit 3), a sweep whose every entry fails, and a ``--check`` run whose
+mass drift exceeds its bound (exit 3, converged but not conserving), so the
+CSVs of failed runs are pinned too.  Two checkouts give the same output
+bytes exactly when the printed lines are the same, so comparing two commits
+is one ``diff`` of this script's output:
 
     python3 tools/output_digest.py > new.txt
     (cd ../parent && python3 tools/output_digest.py) > old.txt
@@ -52,6 +53,8 @@ CASES = (
      "--T", "0.4", "--max-newton-iters", "2"),
     ("sweep-time:newton_fails", 0, "sweep-time", "configs/time_sweep_k2.cfg",
      "--max-newton-iters", "1"),
+    ("run:check_fails", 3, "run", "configs/soliton_conservation.cfg",
+     "--T", "0.4", "--newton-tol", "1e-2", "--check"),
 )
 
 
