@@ -16,7 +16,6 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import problems
-from .collocation import gauss_rule
 from .diagnostics import (ConvergenceTable, InternalMassObserver, RunRecorder,
                           TrajectoryErrorObserver)
 from .errors import ConfigurationError, NumericalError, UsageError
@@ -50,7 +49,7 @@ class ExperimentConfig:
     bc: str = PERIODIC
     newton_tol: float = StepperConfig.newton_tol
     max_newton_iters: int = StepperConfig.max_newton_iters
-    nq: int = 0                  # 0 = default p+2
+    nq: int = None
     tau_list: tuple[float, ...] = ()
     M_list: tuple[int, ...] = ()
 
@@ -161,14 +160,12 @@ def _prepare(cfg):
     stepper_cfg = StepperConfig(tau=cfg.tau, k=cfg.k, newton_tol=cfg.newton_tol,
                                 max_newton_iters=cfg.max_newton_iters)
     num_slabs(cfg.T, cfg.tau)
-    gauss_rule(cfg.k)
-    if cfg.nq:
+    if cfg.nq is not None:
         reference_quadrature(cfg.nq)
 
     def run(observers):
         try:
-            integrate(prob.u0, stepper_cfg, space, nl, cfg.T, observers=observers,
-                      nq=cfg.nq or None)
+            integrate(prob.u0, stepper_cfg, space, nl, cfg.T, observers=observers, nq=cfg.nq)
         except NumericalError as exc:
             return exc
         return None
@@ -201,7 +198,7 @@ def _write_csv(path, header, rows):
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def run_single(cfg, out_dir=".", check=False):
+def run_single(cfg, out_dir, check=False):
     """One integration; writes timeseries.csv and summary.csv.
 
     Returns an exit code: 0 when every slab converged (and, with check=True,
@@ -269,7 +266,7 @@ _SWEEPS = {
 }
 
 
-def run_sweep(cfg, key, out_dir="."):
+def run_sweep(cfg, key, out_dir):
     """Convergence study over cfg.tau_list (key "tau") or cfg.M_list (key "M");
     writes time_convergence.csv or space_convergence.csv."""
     study, fixed, eoc_param, cell = _SWEEPS[key]

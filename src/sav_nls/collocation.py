@@ -4,6 +4,7 @@ Everything lives on the reference slab [-1, 1]; physical scaling (the 2/tau
 chain-rule factor) is applied by callers.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,7 +73,7 @@ class GaussRule:
     weights: np.ndarray
 
 
-@lru_cache(maxsize=MAX_ORDER)
+@lru_cache(maxsize=MAX_ORDER, typed=True)   # typed: 3.0 is not a cache hit for 3
 def gauss_rule(k):
     """Gauss-Legendre nodes/weights of order k on [-1, 1], built once per order;
     the arrays are read-only, since every caller shares them.
@@ -80,6 +81,8 @@ def gauss_rule(k):
     Nodes are the roots of P_k, found by Newton iteration from Chebyshev
     initial guesses; weights are 2 / ((1 - c^2) P_k'(c)^2).
     """
+    if not isinstance(k, numbers.Integral):   # numpy integers pass
+        raise ConfigurationError(f"gauss rule order k={k!r} must be an integer")
     if not 1 <= k <= MAX_ORDER:
         raise ConfigurationError(f"gauss rule order k={k} outside [1, {MAX_ORDER}]")
     i = np.arange(1, k + 1)
@@ -177,13 +180,12 @@ def temporal_l2_project(poly):
     return SlabPolynomial(values=values, slab=poly.slab, nodes=poly.nodes)
 
 
-def temporal_ritz_project(fn, k, slab, dfn=None):
+def temporal_ritz_project(fn, k, slab, dfn):
     """Temporal Ritz projection of `fn` onto degree-k polynomials on `slab`.
 
     Matches fn at the left endpoint and makes the time derivative of the
-    projection the L2 projection of fn' onto degree k-1, via the explicit
-    Legendre-coefficient formula.  fn' is `dfn` when supplied, otherwise a
-    central finite difference with step 1e-7.  Inner integrals use a
+    projection the L2 projection of fn' = `dfn` onto degree k-1, via the
+    explicit Legendre-coefficient formula.  Inner integrals use a
     min(k+2, MAX_ORDER)-point Gauss rule, exact for the degree-(2k-2)
     products of a degree-k fn for every k <= MAX_ORDER.
     """
@@ -191,10 +193,6 @@ def temporal_ritz_project(fn, k, slab, dfn=None):
     tau = t1 - t0
     if tau <= 0:
         raise ConfigurationError(f"degenerate slab [{t0}, {t1}]")
-    if dfn is None:
-        def dfn(t):
-            return (fn(t + 1e-7) - fn(t - 1e-7)) / 2e-7
-
     quad = gauss_rule(min(k + 2, MAX_ORDER))
     t_quad = t0 + 0.5 * tau * (1.0 + quad.nodes)
     du = np.array([dfn(t) for t in t_quad])

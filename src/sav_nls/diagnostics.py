@@ -99,7 +99,6 @@ class RunRecorder:
         self.nl = None
         self.records = []
         self._asm = None
-        self._ref = None
 
     def _observe_state(self, state, iters):
         asm = self._asm
@@ -119,18 +118,18 @@ class RunRecorder:
         self._asm = asm
         self.nl = nl
         self._observe_state(state0, 0)
-        self._ref = self.records[0]
 
     def after_slab(self, n, prev_state, new_state, report):
         self._observe_state(new_state, report.iterations)
 
     @property
-    def max_mass_drift(self):
-        return float(np.max([abs(r.mass - self._ref.mass) for r in self.records]))   # keeps NaN
+    def max_mass_drift(self):   # np.max, unlike max(), keeps NaN
+        return float(np.max([abs(r.mass - self.records[0].mass) for r in self.records]))
 
     @property
     def max_sav_energy_drift(self):
-        return float(np.max([abs(r.sav_energy - self._ref.sav_energy) for r in self.records]))
+        return float(np.max([abs(r.sav_energy - self.records[0].sav_energy)
+                             for r in self.records]))
 
     @property
     def max_newton_iters(self):
@@ -184,5 +183,6 @@ class InternalMassObserver:
         value, ok = internal_mass_check(self._asm, report.stages.u_stages,
                                         self._weights, self._u0_mass)
         self.all_ok = self.all_ok and ok
-        self.worst_ratio = float(np.maximum(self.worst_ratio, value / self._u0_mass))
+        if self._u0_mass > 0:   # zero initial data has no ratio; its bound is 0 <= 0
+            self.worst_ratio = float(np.maximum(self.worst_ratio, value / self._u0_mass))
 

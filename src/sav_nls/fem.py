@@ -87,6 +87,8 @@ def build_space(a, b, num_elements, degree, bc):
 
 def reference_quadrature(nq):
     """nq-point Gauss rule mapped to the reference element [0, 1]."""
+    if not isinstance(nq, numbers.Integral):   # numpy integers pass
+        raise ConfigurationError(f"quadrature point count nq={nq!r} must be an integer")
     if not 1 <= nq <= MAX_ORDER:
         raise ConfigurationError(f"quadrature point count nq={nq} outside [1, {MAX_ORDER}]")
     rule = gauss_rule(nq)
@@ -146,21 +148,19 @@ def scatter_vector(space, local_loads):
             + 1j * np.bincount(idx, weights=vals.imag, minlength=space.num_dofs))
 
 
-def assemble_mass(space, pattern=None):
+def assemble_mass(space, pattern):
     """Mass operator M_ij = int phi_i phi_j dx (symmetric positive definite)."""
     h = space.mesh.h
     _, wts, phi, _ = basis_tables(space, space.degree + 1)
     local = h * np.einsum("q,ql,qm->lm", wts, phi, phi)
-    pattern = matrix_pattern(space) if pattern is None else pattern
     return scatter_matrix(pattern, local)
 
 
-def assemble_stiffness(space, pattern=None):
+def assemble_stiffness(space, pattern):
     """Stiffness operator A_ij = int phi_i' phi_j' dx (symmetric PSD)."""
     h = space.mesh.h
     _, wts, _, dphi = basis_tables(space, space.degree + 1)
     local = (1.0 / h) * np.einsum("q,ql,qm->lm", wts, dphi, dphi)
-    pattern = matrix_pattern(space) if pattern is None else pattern
     return scatter_matrix(pattern, local)
 
 

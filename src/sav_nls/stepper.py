@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .collocation import collocation_scheme
+from .collocation import MAX_ORDER, collocation_scheme
 from .errors import ConfigurationError, ModelError, NumericalError, StepError
 from .fem import (assemble_mass, assemble_stiffness, basis_tables, element_coefficients,
                   interpolate, matrix_pattern, scatter_matrix, scatter_vector)
@@ -49,6 +49,8 @@ class StepperConfig:
             raise ConfigurationError(f"newton_tol={self.newton_tol} must be positive and finite")
         if self.max_newton_iters < 1:
             raise ConfigurationError(f"max_newton_iters={self.max_newton_iters} must be >= 1")
+        if not 1 <= self.k <= MAX_ORDER:
+            raise ConfigurationError(f"gauss rule order k={self.k} outside [1, {MAX_ORDER}]")
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class StepReport:
     residual_final: float
     stages: SlabUnknowns
     factorizations: int   # main-block factorizations, counted as iterations are
-    warnings: list = field(default_factory=list)
+    warnings: list
 
 
 @dataclass
@@ -95,9 +97,9 @@ class TrajectorySummary:
     final_state: SavState
     reports: list
     num_slabs: int
-    states: list = None          # all slab-endpoint states, index 0 = initial
-    assemblies: Assemblies = None
-    scheme: object = None
+    states: list          # all slab-endpoint states, index 0 = initial
+    assemblies: Assemblies
+    scheme: object
 
 
 def _linear_residual(state, u_stages, asm, scheme, tau):
@@ -226,7 +228,7 @@ def _assemble_newton_system(unknowns, asm, scheme, tau, data):
     C = C.reshape(k, 2 * k * n)
     K = sp.csc_matrix((values, indices, indptr), shape=(2 * k * n, 2 * k * n))
 
-    return BorderedSystem(K=K, B=B, C=C, Dmat=alpha.copy(),
+    return BorderedSystem(K=K, B=B, C=C, Dmat=alpha,
                           rhs_main=-_real_parts(data["res_u"]), rhs_border=-data["res_r"])
 
 

@@ -208,6 +208,17 @@ def test_check_failure_exit_code_and_flags(tmp_path, capsys):
     assert (out / "summary.csv").read_text().splitlines()[1].split(",")[-3:] == ["0", "1", "1"]
 
 
+def test_zero_initial_data_run(tmp_path, capsys):
+    # sech underflows to 0 at every dof of [800, 840], so the initial mass is 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", CONSERVATION_CFG, "--a", "800", "--b", "840", "--T", "0.4",
+                 "--out-dir", str(out)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    rows = [line.split(",") for line in (out / "timeseries.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3 and {cell for row in rows for cell in row[1:3]} == {"0.0000000000e+00"}
+    assert (out / "summary.csv").read_text().splitlines()[1].split(",")[-3:] == ["1", "1", "1"]
+
+
 SWEEP = """
 problem = soliton
 M = 50
@@ -381,6 +392,7 @@ def test_zero_newton_iterations_is_usage_error(tmp_path, capsys):
     ("1", ["run", "--nq", "9"], "configuration error: quadrature point count nq=9 outside"),
     ("1", ["run", "--T", "1e300", "--tau", "1e-300"],
      "usage error: T=1e+300 / tau=1e-300 is not a finite slab count"),
+    ("1", ["run", "--nq", "0"], "configuration error: quadrature point count nq=0 outside"),
 ])
 def test_rejected_configuration_writes_nothing(tmp_path, capsys, monkeypatch, threads, argv,
                                                message):

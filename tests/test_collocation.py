@@ -60,6 +60,11 @@ def test_gauss_rule_rejects_bad_order():
         gauss_rule(0)
     with pytest.raises(ConfigurationError):
         gauss_rule(9)
+    gauss_rule(3)
+    for bad in (2.5, 3.0):   # 3.0 also after gauss_rule(3) is cached
+        with pytest.raises(ConfigurationError, match=f"k={bad} must be an integer"):
+            gauss_rule(bad)
+    np.testing.assert_array_equal(gauss_rule(np.int64(3)).nodes, gauss_rule(3).nodes)
 
 
 def test_shifted_legendre_endpoints_and_orthogonality():
@@ -179,7 +184,7 @@ def test_ritz_projection_reproduces_polynomials(k):
 
 
 def test_ritz_projection_constant_and_endpoint():
-    proj = temporal_ritz_project(lambda t: 2.5, 2, (0.0, 0.3))
+    proj = temporal_ritz_project(lambda t: 2.5, 2, (0.0, 0.3), dfn=lambda t: 0.0)
     np.testing.assert_allclose(proj.evaluate(np.linspace(0, 0.3, 7)), 2.5, atol=1e-12)
     # left endpoint is matched exactly by construction
     fn = np.sin

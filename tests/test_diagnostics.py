@@ -129,10 +129,13 @@ def test_zero_initial_data_run_has_zero_drift():
     nl = power_law(1.0, 3.0, c0=1.0)
     cfg = StepperConfig(tau=0.1, k=2)
     rec = RunRecorder()
-    integrate(lambda x: 0.0, cfg, space, nl, 0.5, observers=(rec,))
+    internal = InternalMassObserver()
+    integrate(lambda x: 0.0, cfg, space, nl, 0.5, observers=(rec, internal))
     assert all(r.mass == 0.0 for r in rec.records)
     assert rec.max_mass_drift == 0.0
     assert rec.max_sav_energy_drift <= 1e-14
+    # the initial mass is 0, so there is no ratio to the bound; 0 <= 0 holds
+    assert internal.all_ok and internal.worst_ratio == 0.0
 
 
 def _nan_at(t_nan, fn):

@@ -5,7 +5,7 @@ from sav_nls.collocation import lagrange_basis, lagrange_basis_deriv
 from sav_nls.errors import ConfigurationError, InputError
 from sav_nls.fem import (DIRICHLET, PERIODIC, assemble_mass, assemble_stiffness,
                          basis_tables, build_space, element_coefficients, error_norms,
-                         evaluate, interpolate, reference_quadrature)
+                         evaluate, interpolate, matrix_pattern, reference_quadrature)
 
 
 def sech(x):
@@ -44,6 +44,13 @@ def test_build_space_rejects_bad_input(kwargs, msg):
         build_space(**kwargs)
 
 
+def test_reference_quadrature_rejects_non_integer_count():
+    with pytest.raises(ConfigurationError, match=r"nq=2\.5 must be an integer"):
+        reference_quadrature(2.5)
+    pts, _ = reference_quadrature(np.int64(3))   # numpy integers pass
+    assert len(pts) == 3
+
+
 def _exact_local_matrices(p, h):
     """Exact local mass/stiffness via polynomial integration (no quadrature)."""
     from numpy.polynomial import Polynomial
@@ -75,8 +82,8 @@ def test_local_matrices_match_exact_integration(p):
         np.testing.assert_allclose(stiff_exact, np.array([[1, -1], [-1, 1]]) / h,
                                    atol=1e-15)
     # assemble a single-element contribution by hand and compare globals
-    M = assemble_mass(space).toarray()
-    A = assemble_stiffness(space).toarray()
+    M = assemble_mass(space, matrix_pattern(space)).toarray()
+    A = assemble_stiffness(space, matrix_pattern(space)).toarray()
     Mh = np.zeros_like(M)
     Ah = np.zeros_like(A)
     for e in range(space.mesh.num_elements):
@@ -92,13 +99,13 @@ def test_local_matrices_match_exact_integration(p):
 
 def test_dirichlet_two_element_stiffness():
     space = build_space(0.0, 1.0, 2, 1, DIRICHLET)
-    A = assemble_stiffness(space).toarray()
+    A = assemble_stiffness(space, matrix_pattern(space)).toarray()
     np.testing.assert_allclose(A, [[4.0]], atol=1e-13)
 
 
 def test_mass_is_hermitian_positive_definite():
     space = build_space(-3.0, 2.0, 7, 3, PERIODIC)
-    M = assemble_mass(space)
+    M = assemble_mass(space, matrix_pattern(space))
     np.testing.assert_allclose((M - M.conj().T).toarray(), 0.0, atol=1e-15)
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -108,13 +115,13 @@ def test_mass_is_hermitian_positive_definite():
 
 def test_periodic_mass_row_sums():
     space = build_space(0.0, 1.0, 10, 1, PERIODIC)
-    sums = np.asarray(assemble_mass(space).sum(axis=1)).ravel()
+    sums = np.asarray(assemble_mass(space, matrix_pattern(space)).sum(axis=1)).ravel()
     np.testing.assert_allclose(sums, space.mesh.h, rtol=1e-13)
 
 
 def test_periodic_stiffness_annihilates_constants():
     space = build_space(-1.0, 4.0, 9, 2, PERIODIC)
-    A = assemble_stiffness(space)
+    A = assemble_stiffness(space, matrix_pattern(space))
     ones = np.ones(space.num_dofs, dtype=complex)
     norm = np.abs(A.toarray()).max()
     assert np.abs(A @ ones).max() <= 1e-13 * norm

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 from sav_nls import linsolve
 from sav_nls.errors import SolverError
-from sav_nls.fem import DIRICHLET, assemble_mass, assemble_stiffness, build_space
+from sav_nls.fem import (DIRICHLET, assemble_mass, assemble_stiffness, build_space,
+                         matrix_pattern)
 from sav_nls.linsolve import RESIDUAL_TOL, BorderedSystem, factor, solve_bordered
 
 
@@ -17,7 +18,8 @@ def test_factor_identity():
 
 def test_factor_fem_operator_residual():
     space = build_space(0.0, 1.0, 4, 1, DIRICHLET)
-    K = (assemble_stiffness(space) + 0.1 * assemble_mass(space)).tocsc()
+    pattern = matrix_pattern(space)
+    K = (assemble_stiffness(space, pattern) + 0.1 * assemble_mass(space, pattern)).tocsc()
     lu = factor(K)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(space.num_dofs) + 1j * rng.standard_normal(space.num_dofs)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sav_nls.errors import ConfigurationError, ModelError
-from sav_nls.fem import PERIODIC, assemble_mass, build_space, interpolate
+from sav_nls.fem import PERIODIC, build_space, interpolate
 from sav_nls.model import (Nonlinearity, g_derivatives, g_times_u, integral_F,
                            power_law, r_init)
 from sav_nls.stepper import Assemblies
@@ -62,7 +62,7 @@ def test_integral_F_sech_fourth_power():
 
 def test_integral_F_matches_mass_quadratic_form():
     asm = _assemblies(-2.0, 3.0, 9, 3)
-    M = assemble_mass(asm.space)
+    M = asm.mass
     rng = np.random.default_rng(3)
     for _ in range(10):
         v = rng.standard_normal(asm.space.num_dofs) + 1j * rng.standard_normal(asm.space.num_dofs)

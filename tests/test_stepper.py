@@ -54,6 +54,9 @@ def test_config_validation():
         with pytest.raises(ConfigurationError, match=f"{key}={bad[key]} must be an integer"):
             StepperConfig(**{"tau": 0.1, "k": 2, **bad})
     assert StepperConfig(tau=0.1, k=np.int64(2), max_newton_iters=np.int32(3)).k == 2
+    for k in (0, 9):
+        with pytest.raises(ConfigurationError, match=rf"gauss rule order k={k} outside \[1, 8\]"):
+            StepperConfig(tau=0.1, k=k)
 
 
 def test_residual_zero_state_is_zero():

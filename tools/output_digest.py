@@ -4,8 +4,9 @@ Runs each case in-process through ``sav_nls.cli.main`` from this checkout's
 ``src/``, checks its exit code and prints one ``<sha256>  <case>/<file>`` line
 per CSV.  The two ``power_law`` runs pin a non-cubic power law and the
 ``q < 3`` branch of the nonlinearity, the ``k1`` and ``k4`` runs the
-nonlinear solve at one and at four stages, and the ``p4`` run the quartic
-space with its 7-point error rule.  The last four cases are runs that
+nonlinear solve at one and at four stages, the ``p4`` run the quartic
+space with its 7-point error rule, and the ``nq4`` run a non-default
+4-point quadrature of the nonlinearity.  The last four cases are runs that
 fail (exit 3), a sweep whose every entry fails, and a ``--check`` run whose
 mass drift exceeds its bound (exit 3, converged but not conserving), so the
 CSVs of failed runs are pinned too.  Two checkouts give the same output
@@ -42,6 +43,7 @@ CASES = (
     ("run:k4_p2_dirichlet", 0, "run", "configs/soliton_conservation.cfg",
      "--k", "4", "--p", "2", "--bc", "dirichlet", "--T", "1"),
     ("run:p4", 0, "run", "configs/soliton_conservation.cfg", "--p", "4", "--T", "1"),
+    ("run:nq4", 0, "run", "configs/soliton_conservation.cfg", "--nq", "4"),
     ("sweep-time:time_sweep_k2", 0, "sweep-time", "configs/time_sweep_k2.cfg"),
     ("sweep-time:time_sweep_k3", 0, "sweep-time", "configs/time_sweep_k3.cfg"),
     ("sweep-space:space_sweep_p1", 0, "sweep-space", "configs/space_sweep_p1.cfg"),
