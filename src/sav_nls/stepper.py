@@ -28,7 +28,7 @@ from .collocation import MAX_ORDER, collocation_scheme
 from .errors import ConfigurationError, ModelError, NumericalError, StepError
 from .fem import (assemble_mass, assemble_stiffness, basis_tables, element_coefficients,
                   interpolate, matrix_pattern, scatter_matrix, scatter_vector)
-from .linsolve import BorderedSystem, factor, solve_bordered
+from .linsolve import BorderedSystem, band_layout, factor, solve_bordered
 from .model import SavState, g_derivatives, r_init
 
 
@@ -228,8 +228,13 @@ def _assemble_newton_system(unknowns, asm, scheme, tau, data):
     C = C.reshape(k, 2 * k * n)
     K = sp.csc_matrix((values, indices, indptr), shape=(2 * k * n, 2 * k * n))
 
+    if ("band", k) not in asm.cache:   # dof-major; dof 0 (a periodic wrap's) in the border
+        unknown = np.arange(2 * k * n).reshape(2 * k, n)   # [2j + s, dof]: index in K
+        asm.cache["band", k] = band_layout(indptr, indices, unknown[:, 1:].T.ravel(),
+                                           unknown[:, 0])
     return BorderedSystem(K=K, B=B, C=C, Dmat=alpha,
-                          rhs_main=-_real_parts(data["res_u"]), rhs_border=-data["res_r"])
+                          rhs_main=-_real_parts(data["res_u"]), rhs_border=-data["res_r"],
+                          layout=asm.cache["band", k])
 
 
 def _increment_norm(asm, delta_u, delta_r):
@@ -245,8 +250,8 @@ def newton_step(state, unknowns, asm, scheme, nl, tau, chord=None):
     system, (lu, W, S)) it factored.  Passed back as `chord`, that value makes a chord
     step: the fresh residual is solved with it, with no assembly and no factorization."""
     data = _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian=chord is None)
-    # allocated before this step factors: a long-lived array above SuperLU's mostly
-    # untouched workspace on glibc's brk heap pins it there (peak RSS rose 5-20%)
+    # allocated before this step factors: a long-lived array above a factorization's
+    # storage on glibc's brk heap pins it there (with SuperLU, peak RSS rose 5-20%)
     updated = SlabUnknowns(unknowns.u_stages.copy(), unknowns.r_stages.copy())
     if chord is None:
         system = _assemble_newton_system(unknowns, asm, scheme, tau, data)

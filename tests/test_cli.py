@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -217,6 +219,17 @@ def test_zero_initial_data_run(tmp_path, capsys):
     rows = [line.split(",") for line in (out / "timeseries.csv").read_text().splitlines()[1:]]
     assert len(rows) == 3 and {cell for row in rows for cell in row[1:3]} == {"0.0000000000e+00"}
     assert (out / "summary.csv").read_text().splitlines()[1].split(",")[-3:] == ["1", "1", "1"]
+
+
+def test_zero_initial_data_run_prints_no_warning(tmp_path):
+    # cosh overflows for |x| > ~710; sech's 1/inf = 0 is right and must not warn
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-W", "default", "-m", "sav_nls.cli", "run", "--config",
+                           CONSERVATION_CFG, "--a", "800", "--b", "840", "--T", "0.4",
+                           "--out-dir", str(tmp_path)], env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_OK
+    assert done.stderr == ""
 
 
 SWEEP = """

@@ -1,12 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sav_nls import linsolve
+from sav_nls.collocation import collocation_scheme
 from sav_nls.errors import SolverError
-from sav_nls.fem import (DIRICHLET, assemble_mass, assemble_stiffness, build_space,
+from sav_nls.fem import (DIRICHLET, PERIODIC, assemble_mass, assemble_stiffness, build_space,
                          matrix_pattern)
-from sav_nls.linsolve import RESIDUAL_TOL, BorderedSystem, factor, solve_bordered
+from sav_nls.linsolve import (RESIDUAL_TOL, Band, BandLU, BorderedSystem, factor,
+                              solve_bordered)
+from sav_nls.model import SavState, power_law
+from sav_nls.stepper import Assemblies, SlabUnknowns, _assemble_newton_system, _stage_data
 
 
 def test_factor_identity():
@@ -147,3 +154,76 @@ def test_kept_factorization_of_another_matrix_fails_the_residual_check():
                                           rhs_main=sys.rhs_main, rhs_border=sys.rhs_border))
     with pytest.raises(SolverError, match="residual"):
         solve_bordered(sys, (other.lu, other.W, other.S))
+
+
+def _newton_system(p, k, bc, M, seed):
+    """The bordered Newton system of _assemble_newton_system at a random iterate."""
+    space = build_space(-3.0, 3.0, M, p, bc)
+    asm = Assemblies.build(space)
+    scheme = collocation_scheme(k)
+    n = space.num_dofs
+    rng = np.random.default_rng(seed)
+    state = SavState(u=rng.standard_normal(n) + 1j * rng.standard_normal(n), r=1.3, t=0.0)
+    unk = SlabUnknowns(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)),
+                       1.0 + 0.2 * rng.standard_normal(k))
+    data = _stage_data(state, unk, asm, scheme, power_law(2.0, 3.0, c0=1.0), 0.17,
+                       need_jacobian=True)
+    return _assemble_newton_system(unk, asm, scheme, 0.17, data)
+
+
+@pytest.mark.parametrize("M", [2, 5])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_banded_newton_solve_matches_splu(p, k, bc, M):
+    # M = 2 puts the periodic wrap next to the band's edge; a kept (lu, W, S)
+    # gives the bits of a fresh band solve, and another matrix's fails the check
+    seed = 100 * p + 10 * k + M + (bc == DIRICHLET)
+    system = _newton_system(p, k, bc, M, seed)
+    width = 2 * k * (p + 1) - 1   # of dof-major unknowns; at M = 2 no two band dofs are p apart
+    assert system.layout.width == width if M > 2 else system.layout.width < width
+    sol = solve_bordered(system)
+    assert isinstance(sol.lu, BandLU) and sol.S.shape == (3 * k, 3 * k)
+    full = sp.bmat([[system.K, system.B], [system.C, system.Dmat]], format="csc")
+    ref = spla.splu(full).solve(np.concatenate([system.rhs_main, system.rhs_border]))
+    x = np.concatenate([sol.x_main, sol.x_border])
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    rng = np.random.default_rng(seed + 1)
+    again = replace(system, rhs_main=rng.standard_normal(len(system.rhs_main)),
+                    rhs_border=rng.standard_normal(k))
+    fresh, kept = solve_bordered(again), solve_bordered(again, (sol.lu, sol.W, sol.S))
+    np.testing.assert_array_equal(kept.x_main, fresh.x_main)
+    np.testing.assert_array_equal(kept.x_border, fresh.x_border)
+    assert kept.residual == fresh.residual <= RESIDUAL_TOL
+
+    other = _newton_system(p, k, bc, M, seed + 2)
+    with pytest.raises(SolverError, match="residual"):
+        solve_bordered(replace(other, rhs_main=system.rhs_main, rhs_border=system.rhs_border),
+                       (sol.lu, sol.W, sol.S))
+
+
+def test_band_is_factored_in_place(monkeypatch):
+    # a copy of the band (a C-ordered one, which dgbtrf copies silently) or of
+    # W = K^-1 B' would cost several MB of peak RSS at the benchmark's size
+    k = 3
+    system = _newton_system(3, k, PERIODIC, 40, 0)
+    factored, solved, solve = [], [], BandLU.solve
+
+    def recording_factor(K):
+        factored.append((K, factor(K)))
+        return factored[-1][1]
+
+    def recording_solve(lu, b):
+        solved.append((b, solve(lu, b)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(linsolve, "factor", recording_factor)
+    monkeypatch.setattr(BandLU, "solve", recording_solve)
+    sol = solve_bordered(system)
+    (band, lu), = factored
+    assert isinstance(band, Band) and band.ab.flags.f_contiguous
+    assert lu is sol.lu and np.shares_memory(band.ab, lu.lu)
+    B_wide, W = solved[0]   # B' = [K_io, B]: dof 0's 2k unknowns joined the k SAV ones
+    assert W is sol.W and np.shares_memory(B_wide, W)
+    assert W.shape == (len(system.rhs_main) - 2 * k, 3 * k)
