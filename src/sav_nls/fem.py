@@ -8,6 +8,7 @@ operators are real CSR matrices, assembled with exact Gauss quadrature.
 
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,12 +96,16 @@ def reference_quadrature(nq):
     return 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights
 
 
-def basis_tables(space, nq):
-    """(points, weights, phi, dphi) on [0, 1]; phi/dphi have shape (nq, p+1)."""
+@lru_cache(maxsize=MAX_DEGREE * MAX_ORDER, typed=True)   # typed: nq = 3.0 misses 3
+def basis_tables(p, nq):
+    """(points, weights, phi, dphi) on [0, 1] of the degree-p basis; phi/dphi have shape
+    (nq, p+1).  Built once per (p, nq), read-only, since every caller shares them."""
     pts, wts = reference_quadrature(nq)
-    phi = lagrange_basis(space.ref_nodes, pts)
-    dphi = lagrange_basis_deriv(space.ref_nodes, pts)
-    return pts, wts, phi, dphi
+    nodes = np.arange(p + 1) / p   # FemSpace.ref_nodes
+    tables = pts, wts, lagrange_basis(nodes, pts), lagrange_basis_deriv(nodes, pts)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,7 @@ def scatter_vector(space, local_loads):
 def assemble_mass(space, pattern):
     """Mass operator M_ij = int phi_i phi_j dx (symmetric positive definite)."""
     h = space.mesh.h
-    _, wts, phi, _ = basis_tables(space, space.degree + 1)
+    _, wts, phi, _ = basis_tables(space.degree, space.degree + 1)
     local = h * np.einsum("q,ql,qm->lm", wts, phi, phi)
     return scatter_matrix(pattern, local)
 
@@ -159,7 +164,7 @@ def assemble_mass(space, pattern):
 def assemble_stiffness(space, pattern):
     """Stiffness operator A_ij = int phi_i' phi_j' dx (symmetric PSD)."""
     h = space.mesh.h
-    _, wts, _, dphi = basis_tables(space, space.degree + 1)
+    _, wts, _, dphi = basis_tables(space.degree, space.degree + 1)
     local = (1.0 / h) * np.einsum("q,ql,qm->lm", wts, dphi, dphi)
     return scatter_matrix(pattern, local)
 
@@ -197,7 +202,7 @@ def evaluate(space, v, x):
 def error_norms(space, v, exact, exact_grad):
     """(L2, H1) errors of the FE function against exact/exact_grad, on p+3 Gauss points."""
     mesh = space.mesh
-    pts, wts, phi, dphi = basis_tables(space, space.degree + 3)
+    pts, wts, phi, dphi = basis_tables(space.degree, space.degree + 3)
     local = element_coefficients(space, v)
     u, du = local @ phi.T, (local @ dphi.T) / mesh.h
     x = mesh.a + (np.arange(mesh.num_elements)[:, None] + pts[None, :]) * mesh.h

@@ -13,9 +13,11 @@ quadrature load vector of g(U) U.  The Newton Jacobian is exact: the
 pointwise g1/g2 part, whose conjugate-carrying g2 term is assembled over real
 and imaginary parts, plus the rank-one derivative of each stage's SAV
 denominator d_j, folded into the border rows by solving for
-z_j = dR_j - R_j sigma_j / (2 d_j) with sigma_j = Re<N_j, dU_j>.  A nearly
-converged exact step is followed by a chord step with its factorization (see
-_newton).  The linear (kappa = 0) problem short-circuits to one complex solve.
+z_j = dR_j - R_j sigma_j / (2 d_j) with sigma_j = Re<N_j, dU_j>.  The Jacobian
+is written straight into LAPACK band storage, with dof 0's unknowns in the
+border, and its solve is checked with the Jacobian applied in stage form.  A
+nearly converged exact step is followed by a chord step with its factorization
+(see _newton).  The linear (kappa = 0) problem short-circuits to one complex solve.
 """
 
 import numbers
@@ -28,7 +30,7 @@ from .collocation import MAX_ORDER, collocation_scheme
 from .errors import ConfigurationError, ModelError, NumericalError, StepError
 from .fem import (assemble_mass, assemble_stiffness, basis_tables, element_coefficients,
                   interpolate, matrix_pattern, scatter_matrix, scatter_vector)
-from .linsolve import BorderedSystem, band_layout, factor, solve_bordered
+from .linsolve import Band, BorderedSystem, factor, solve_bordered
 from .model import SavState, g_derivatives, r_init
 
 
@@ -68,7 +70,7 @@ class Assemblies:
     @classmethod
     def build(cls, space, nq=None):
         nq = space.degree + 2 if nq is None else nq
-        _, wts, phi, _ = basis_tables(space, nq)
+        _, wts, phi, _ = basis_tables(space.degree, nq)
         pattern = matrix_pattern(space)
         return cls(space=space, pattern=pattern, mass=assemble_mass(space, pattern),
                    stiff=assemble_stiffness(space, pattern), quad_wts=wts, phi=phi)
@@ -162,51 +164,73 @@ def _real_parts(vectors):
     return np.stack([vectors.real, vectors.imag], axis=1).reshape(-1)
 
 
-def _complex_parts(x, k):
-    """Inverse of _real_parts: (k, n) complex stage vectors from 2kn reals."""
-    parts = x.reshape(k, 2, -1)
+def _split_dof0(parts):
+    """Real stage parts (..., 2k, n), indexed [2j + s, dof], as the Newton system
+    numbers them: the band unknowns of dofs 1..n-1, dof-major (d - 1) 2k + 2j + s,
+    and the 2k unknowns of dof 0, which are in the border."""
+    return parts[..., 1:].swapaxes(-1, -2).reshape(*parts.shape[:-2], -1), parts[..., 0]
+
+
+def _stage_vectors(x_band, x_dof0):
+    """Inverse of _split_dof0 on _real_parts: (k, n) complex stage vectors."""
+    parts = np.column_stack([x_dof0, x_band.reshape(-1, len(x_dof0)).T])
+    parts = parts.reshape(len(x_dof0) // 2, 2, -1)
     return parts[:, 0] + 1j * parts[:, 1]
 
 
-def _real_form_layout(pattern, k):
-    """CSC (indptr, indices) of the 2kn x 2kn real-form main block as sp.bmat lays
-    it out, and slots[row, col]: where in K.data the entries of nonzero block (row, col)
-    go, in MatrixPattern order.  Found by sending numbered entries through sp.bmat."""
-    nnz = len(pattern.indices)
-    blocks = [(2 * j + s, 2 * m + t) for j in range(k) for m in range(k)
-              for s in (0, 1) for t in (0, 1) if j == m or s != t]
-    grid = [[None] * (2 * k) for _ in range(2 * k)]
-    for b, (row, col) in enumerate(blocks):
-        grid[row][col] = sp.csr_matrix((np.arange(b * nnz, (b + 1) * nnz, dtype=float),
-                                        pattern.indices, pattern.indptr))
-    labels = sp.bmat(grid, format="csc")
-    where = np.argsort(labels.data).astype(np.int32)   # where[label] = position in K.data
-    return labels.indptr, labels.indices, {blk: where[b * nnz:(b + 1) * nnz]
-                                           for b, blk in enumerate(blocks)}
+def _newton_rhs(data):
+    """(rhs_main, rhs_border) of the Newton system: minus the collocation residual."""
+    band, dof0 = _split_dof0(_real_parts(-data["res_u"]).reshape(2 * len(data["res_u"]), -1))
+    return band, np.concatenate([dof0, -data["res_r"]])
+
+
+def _band_slots(pattern, k):
+    """Half-bandwidth w of the dof-major main block; base, the slot in its flat band
+    storage of each pattern entry (r, c) in real-form block (0, 0); and the positions
+    and r, c of the entries in dof 0's column and row.  Block (a, b) adds b ld + a - b
+    (ld = 3w + 1) to the slot (c - 1) 2k ld + 2w + (r - c) 2k of band entry
+    ((r - 1) 2k + a, (c - 1) 2k + b); an entry of dof 0 lands in 2k columns past the band."""
+    n = len(pattern.indptr) - 1
+    r = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    c = pattern.indices.astype(np.int64)
+    inner = (r > 0) & (c > 0)
+    width = int(((np.abs(r - c) + 1) * 2 * k - 1)[inner].max(initial=0))
+    ld = 3 * width + 1
+    base = np.where(inner, (c - 1) * 2 * k * ld + 2 * width + (r - c) * 2 * k,
+                    ld * 2 * k * (n - 1))
+    col0, row0 = np.flatnonzero(c == 0), np.flatnonzero(r == 0)
+    return width, base, (col0, r[col0]), (row0, c[row0])
 
 
 def _assemble_newton_system(unknowns, asm, scheme, tau, data):
     """Bordered real-form Jacobian and right-hand side at the current iterate, in
-    the unknowns (dU, z) with z = dR - R sigma / (2 d); see the module docstring."""
-    n = asm.space.num_dofs
-    k = len(unknowns.r_stages)
+    the unknowns (dU, z) with z = dR - R sigma / (2 d); see the module docstring.
+    The main block is the band of the unknowns of dofs 1..n-1; dof 0's 2k unknowns
+    join the k of z in the border: B' = [K_io, B], C' = [[K_oi], [C]] and
+    Dmat' = [[K_oo, B_o], [C_o, Dmat]], with _i and _o the band and dof 0 parts."""
     R = unknowns.r_stages
+    n, k = asm.space.num_dofs, len(R)
     Md, Ad = asm.mass.data, asm.stiff.data
     alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]     # (k, k), stage coupling
     N, du = data["N"], data["du"]
     G1, X2, Y2 = data["G1"], data["X2"], data["Y2"]
 
-    if ("real_form", k) not in asm.cache:
-        asm.cache["real_form", k] = _real_form_layout(asm.pattern, k)
-    indptr, indices, slots = asm.cache["real_form", k]
-    values = np.empty(len(indices))
+    if ("band_slots", k) not in asm.cache:
+        asm.cache["band_slots", k] = _band_slots(asm.pattern, k)
+    width, base, (col0, col0_r), (row0, row0_c) = asm.cache["band_slots", k]
+    ld, ni = 3 * width + 1, 2 * k * (n - 1)
+    flat = np.zeros(ld * (ni + 2 * k))
+    # B'^T and C' before _split_dof0, their unknowns as (stage, re/im, dof): [., 2j + s, dof]
+    Bt, Ct = np.zeros((3 * k, 2 * k, n)), np.zeros((3 * k, 2 * k, n))
 
-    # B[:, m], row j of C and block rows 2j, 2j+1 of K index unknowns as (stage, re/im, dof)
+    def put(a, b, values):   # block (a, b) of the real form, on asm.pattern
+        flat[b * ld + a - b:][base] = values   # at base + b ld + a - b, with no index sum
+        Bt[b, a, col0_r] = values[col0]
+        Ct[a, b, row0_c] = values[row0]
+
     N_parts = _real_parts(N).reshape(k, 2, n)
     stages = np.arange(k)
-    B = np.zeros((k, 2, n, k))
-    B[stages, :, :, stages] = -N_parts
-    B = B.reshape(2 * k * n, k)
+    Bt[2 * k:].reshape(k, k, 2, n)[stages, stages] = -N_parts
 
     # with dR = z + R sigma / (2 d), B's column -N_j times z_j carries the denominator's
     # term R_j N_j sigma_j / (2 d_j) of the u rows; border row j gains lift[j, m] sigma_m
@@ -218,23 +242,31 @@ def _assemble_newton_system(unknowns, asm, scheme, tau, data):
         re_du, im_du = du[j].real, du[j].imag
         C[j, j, 0] += -0.5 * (G1[j] @ re_du + X2[j] @ re_du + Y2[j] @ im_du)
         C[j, j, 1] += -0.5 * (G1[j] @ im_du + Y2[j] @ re_du - X2[j] @ im_du)
-        values[slots[2 * j, 2 * j]] = Ad - R[j] * (G1[j].data + X2[j].data)
-        values[slots[2 * j + 1, 2 * j + 1]] = Ad - R[j] * (G1[j].data - X2[j].data)
+        put(2 * j, 2 * j, Ad - R[j] * (G1[j].data + X2[j].data))
+        put(2 * j + 1, 2 * j + 1, Ad - R[j] * (G1[j].data - X2[j].data))
         for m in range(k):
-            values[slots[2 * j, 2 * m + 1]] = -alpha[j, m] * Md
-            values[slots[2 * j + 1, 2 * m]] = alpha[j, m] * Md
-        values[slots[2 * j, 2 * j + 1]] -= R[j] * Y2[j].data   # the bits of -a M - R Y
-        values[slots[2 * j + 1, 2 * j]] -= R[j] * Y2[j].data
-    C = C.reshape(k, 2 * k * n)
-    K = sp.csc_matrix((values, indices, indptr), shape=(2 * k * n, 2 * k * n))
+            top, bottom = -alpha[j, m] * Md, alpha[j, m] * Md
+            if m == j:
+                top, bottom = top - R[j] * Y2[j].data, bottom - R[j] * Y2[j].data
+            put(2 * j, 2 * m + 1, top)
+            put(2 * j + 1, 2 * m, bottom)
+    Ct[2 * k:] = C.reshape(k, 2 * k, n)
+    (B_band, B_dof0), (C_band, C_dof0) = _split_dof0(Bt), _split_dof0(Ct)
+    D_wide = np.block([[C_dof0[:2 * k], B_dof0[2 * k:].T], [C_dof0[2 * k:], alpha]])
 
-    if ("band", k) not in asm.cache:   # dof-major; dof 0 (a periodic wrap's) in the border
-        unknown = np.arange(2 * k * n).reshape(2 * k, n)   # [2j + s, dof]: index in K
-        asm.cache["band", k] = band_layout(indptr, indices, unknown[:, 1:].T.ravel(),
-                                           unknown[:, 0])
-    return BorderedSystem(K=K, B=B, C=C, Dmat=alpha,
-                          rhs_main=-_real_parts(data["res_u"]), rhs_border=-data["res_r"],
-                          layout=asm.cache["band", k])
+    def product(x_band, x_border):   # the system in stage form, reading neither the band
+        # nor the wrap: i alpha M dU + A dU - R_j (G1_j dU + (X2_j + i Y2_j) conj dU) - N z
+        dU, z = _stage_vectors(x_band, x_border[:2 * k]), x_border[2 * k:]
+        rows = (1j * (asm.mass @ (alpha @ dU).T) + asm.stiff @ dU.T).T - z[:, None] * N
+        for j, conj in enumerate(dU.conj()):
+            rows[j] -= R[j] * (G1[j] @ dU[j] + X2[j] @ conj + 1j * (Y2[j] @ conj))
+        band, dof0 = _split_dof0(_real_parts(rows).reshape(2 * k, n))
+        return band, np.concatenate([dof0, C_band[2 * k:] @ x_band + D_wide[2 * k:] @ x_border])
+
+    rhs_main, rhs_border = _newton_rhs(data)
+    return BorderedSystem(K=Band(flat[:ld * ni].reshape((ld, ni), order="F"), width),
+                          B=B_band.T, C=C_band, Dmat=D_wide, rhs_main=rhs_main,
+                          rhs_border=rhs_border, product=product)
 
 
 def _increment_norm(asm, delta_u, delta_r):
@@ -259,12 +291,13 @@ def newton_step(state, unknowns, asm, scheme, nl, tau, chord=None):
         lin = (unknowns.r_stages, data["N"], data["denoms"]), system, factorization
     else:
         _, system, factorization = lin = chord
-        system = replace(system, rhs_main=-_real_parts(data["res_u"]), rhs_border=-data["res_r"])
+        rhs_main, rhs_border = _newton_rhs(data)
+        system = replace(system, rhs_main=rhs_main, rhs_border=rhs_border)
         x_main, x_border = solve_bordered(system, factorization)[:2]
     (R, N, denoms), _, _ = lin
-    delta_u = _complex_parts(x_main, len(R))
+    delta_u = _stage_vectors(x_main, x_border[:-len(R)])
     sigma = np.real(np.einsum("ki,ki->k", N.conj(), delta_u))
-    delta_r = x_border + R / (2.0 * denoms) * sigma
+    delta_r = x_border[-len(R):] + R / (2.0 * denoms) * sigma
     updated.u_stages += delta_u   # the bits of u + du
     updated.r_stages += delta_r
     inc = _increment_norm(asm, delta_u, delta_r)

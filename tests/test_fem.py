@@ -176,7 +176,7 @@ def test_element_coefficients_take_matches_ellipsis_indexing(bc):
     rng = np.random.default_rng(11)
     for p in range(1, 5):
         space = build_space(-20.0, 20.0, 2000, p, bc)
-        phi = basis_tables(space, p + 2)[2]
+        phi = basis_tables(p, p + 2)[2]
         for k in range(1, 5):
             v = rng.standard_normal((k, space.num_dofs)) + 1j * rng.standard_normal(
                 (k, space.num_dofs))
@@ -187,6 +187,23 @@ def test_element_coefficients_take_matches_ellipsis_indexing(bc):
             assert np.array_equal(local @ phi.T, reference @ phi.T)
             assert np.array_equal(element_coefficients(space, v[0]) @ phi.T,
                                   padded[0][..., space.dof_map] @ phi.T)
+
+
+def test_basis_tables_are_built_once_per_degree_and_order():
+    # one read-only set of tables per (degree, nq), with the bits of tables built
+    # afresh on a space's ref_nodes
+    for p in range(1, 5):
+        ref_nodes = build_space(-1.0, 2.0, 3, p, PERIODIC).ref_nodes
+        for nq in (p + 1, p + 2, p + 3):
+            tables = basis_tables(p, nq)
+            assert basis_tables(p, nq) is tables
+            pts, wts = reference_quadrature(nq)
+            fresh = (pts, wts, lagrange_basis(ref_nodes, pts), lagrange_basis_deriv(ref_nodes, pts))
+            for table, reference in zip(tables, fresh):
+                assert not table.flags.writeable
+                assert np.array_equal(table, reference)
+    with pytest.raises(ConfigurationError):
+        basis_tables(2, 3.0)   # also after nq = 3 is cached
 
 
 def test_evaluate_constant_and_linear():

@@ -10,10 +10,11 @@ from sav_nls.collocation import collocation_scheme
 from sav_nls.errors import SolverError
 from sav_nls.fem import (DIRICHLET, PERIODIC, assemble_mass, assemble_stiffness, build_space,
                          matrix_pattern)
-from sav_nls.linsolve import (RESIDUAL_TOL, Band, BandLU, BorderedSystem, factor,
-                              solve_bordered)
+from sav_nls.linsolve import RESIDUAL_TOL, BandLU, BorderedSystem, factor, solve_bordered
 from sav_nls.model import SavState, power_law
 from sav_nls.stepper import Assemblies, SlabUnknowns, _assemble_newton_system, _stage_data
+
+from newton_matrix import real_form_matrix, to_stage_order
 
 
 def test_factor_identity():
@@ -181,18 +182,21 @@ def test_banded_newton_solve_matches_splu(p, k, bc, M):
     seed = 100 * p + 10 * k + M + (bc == DIRICHLET)
     system = _newton_system(p, k, bc, M, seed)
     width = 2 * k * (p + 1) - 1   # of dof-major unknowns; at M = 2 no two band dofs are p apart
-    assert system.layout.width == width if M > 2 else system.layout.width < width
+    assert system.K.width == width if M > 2 else system.K.width < width
+    full = real_form_matrix(system)   # before the band is factored in place
     sol = solve_bordered(system)
     assert isinstance(sol.lu, BandLU) and sol.S.shape == (3 * k, 3 * k)
-    full = sp.bmat([[system.K, system.B], [system.C, system.Dmat]], format="csc")
-    ref = spla.splu(full).solve(np.concatenate([system.rhs_main, system.rhs_border]))
-    x = np.concatenate([sol.x_main, sol.x_border])
+    rhs = to_stage_order(system.rhs_main, system.rhs_border)
+    ref = spla.splu(sp.csc_matrix(full)).solve(rhs)
+    x = to_stage_order(sol.x_main, sol.x_border)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     rng = np.random.default_rng(seed + 1)
     again = replace(system, rhs_main=rng.standard_normal(len(system.rhs_main)),
-                    rhs_border=rng.standard_normal(k))
-    fresh, kept = solve_bordered(again), solve_bordered(again, (sol.lu, sol.W, sol.S))
+                    rhs_border=rng.standard_normal(3 * k))
+    fresh = solve_bordered(replace(_newton_system(p, k, bc, M, seed), rhs_main=again.rhs_main,
+                                   rhs_border=again.rhs_border))
+    kept = solve_bordered(again, (sol.lu, sol.W, sol.S))
     np.testing.assert_array_equal(kept.x_main, fresh.x_main)
     np.testing.assert_array_equal(kept.x_border, fresh.x_border)
     assert kept.residual == fresh.residual <= RESIDUAL_TOL
@@ -205,7 +209,8 @@ def test_banded_newton_solve_matches_splu(p, k, bc, M):
 
 def test_band_is_factored_in_place(monkeypatch):
     # a copy of the band (a C-ordered one, which dgbtrf copies silently) or of
-    # W = K^-1 B' would cost several MB of peak RSS at the benchmark's size
+    # B' on its way to W = K^-1 B' would cost several MB of peak RSS at the
+    # benchmark's size
     k = 3
     system = _newton_system(3, k, PERIODIC, 40, 0)
     factored, solved, solve = [], [], BandLU.solve
@@ -222,8 +227,54 @@ def test_band_is_factored_in_place(monkeypatch):
     monkeypatch.setattr(BandLU, "solve", recording_solve)
     sol = solve_bordered(system)
     (band, lu), = factored
-    assert isinstance(band, Band) and band.ab.flags.f_contiguous
+    assert band is system.K and band.ab.flags.f_contiguous
     assert lu is sol.lu and np.shares_memory(band.ab, lu.lu)
     B_wide, W = solved[0]   # B' = [K_io, B]: dof 0's 2k unknowns joined the k SAV ones
-    assert W is sol.W and np.shares_memory(B_wide, W)
-    assert W.shape == (len(system.rhs_main) - 2 * k, 3 * k)
+    assert B_wide is system.B and B_wide.flags.f_contiguous
+    assert W is sol.W and not np.shares_memory(B_wide, W)   # dgbtrs' one new array
+    assert W.shape == system.B.shape == (len(system.rhs_main), 3 * k)
+
+
+def test_a_wrong_band_entry_fails_the_residual_check(monkeypatch):
+    # the check applies the system in stage form and never reads the band
+    system = _newton_system(3, 2, PERIODIC, 6, 7)
+
+    def corrupting_factor(K):
+        K.ab[2 * K.width, 3] *= 1.0 + 1e-6   # diagonal entry 3 of the band
+        return factor(K)
+
+    monkeypatch.setattr(linsolve, "factor", corrupting_factor)
+    with pytest.raises(SolverError, match="residual"):
+        solve_bordered(system)
+
+
+@pytest.mark.parametrize("part", ["B", "C", "Dmat"])
+def test_a_wrong_wrap_entry_fails_the_residual_check(part):
+    # the periodic wrap's entries (K_io in B', K_oi in C', K_oo in Dmat') are
+    # copies that only the solve reads; the check applies the stage form
+    k = 2
+    system = _newton_system(2, k, PERIODIC, 6, 8)
+    wrap = {"B": system.B[:, :2 * k], "C": system.C[:2 * k],
+            "Dmat": system.Dmat[:2 * k, :2 * k]}[part]
+    i, j = np.argwhere(wrap != 0)[-1]   # in B' and C', a coupling across the wrap
+    wrap[i, j] *= 1.0 + 1e-6
+    with pytest.raises(SolverError, match="residual"):
+        solve_bordered(system)
+
+
+@pytest.mark.parametrize("where", ["rhs_main", "B"])
+def test_a_non_finite_system_fails_the_residual_check(where):
+    # a NaN residual is not <= RESIDUAL_TOL: a NaN in the right-hand side or an
+    # inf in the border must raise, not return a NaN solution
+    rng = np.random.default_rng(9)
+    n, k = 12, 2
+    system = BorderedSystem(K=sp.csc_matrix(rng.standard_normal((n, n)) + n * np.eye(n)),
+                            B=rng.standard_normal((n, k)), C=rng.standard_normal((k, n)),
+                            Dmat=np.eye(k) * 3.0, rhs_main=rng.standard_normal(n),
+                            rhs_border=rng.standard_normal(k))
+    if where == "rhs_main":
+        system.rhs_main[4] = np.nan
+    else:
+        system.B[4, 1] = np.inf
+    with pytest.raises(SolverError, match="residual"):
+        solve_bordered(system)

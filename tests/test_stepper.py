@@ -17,9 +17,11 @@ from sav_nls.fem import DIRICHLET, PERIODIC, build_space, interpolate
 from sav_nls.model import Nonlinearity, SavState, power_law, r_init
 from sav_nls.problems import soliton
 from sav_nls.stepper import (Assemblies, SlabUnknowns, StepperConfig,
-                             _assemble_newton_system, _complex_parts,
-                             _real_parts, _stage_data,
-                             advance, integrate, newton_step, num_slabs, residual)
+                             _assemble_newton_system, _real_parts, _split_dof0, _stage_data,
+                             _stage_vectors, advance, integrate, newton_step, num_slabs,
+                             residual)
+
+from newton_matrix import band_order, real_form_matrix, to_stage_order
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -652,14 +654,18 @@ def test_real_form_layout_matches_blockwise_loops(k, bc):
     alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
     B, C = _loop_layout_reference(data["N"], data["du"], data["G1"], data["X2"],
                                   data["Y2"], alpha, unk.r_stages, data["denoms"], k, n)
-    assert np.array_equal(system.B, B)
-    assert np.array_equal(system.C, C)
-    assert np.array_equal(system.rhs_main, -_loop_real_parts(res_u))
+    full = real_form_matrix(system)
+    assert np.array_equal(full[:2 * k * n, 2 * k * n:], B)
+    assert np.array_equal(full[2 * k * n:, :2 * k * n], C)
+    assert np.array_equal(to_stage_order(system.rhs_main, system.rhs_border),
+                          np.concatenate([-_loop_real_parts(res_u), -data["res_r"]]))
     v = unk.u_stages
     assert np.array_equal(_real_parts(v), _loop_real_parts(v))
     x = _loop_real_parts(v)
-    assert np.array_equal(_complex_parts(_real_parts(v), k), _loop_complex_parts(x, k, n))
-    assert np.array_equal(_complex_parts(x, k), v)
+    x_band, x_dof0 = _split_dof0(_real_parts(v).reshape(2 * k, n))
+    assert np.array_equal(np.concatenate([x_band, x_dof0]), x[band_order(n, k)[:2 * k * n]])
+    assert np.array_equal(_stage_vectors(x_band, x_dof0), _loop_complex_parts(x, k, n))
+    assert np.array_equal(_stage_vectors(x_band, x_dof0), v)
 
 
 def _coo_scatter_reference(space, local):
@@ -740,11 +746,13 @@ def test_fixed_layout_assembly_matches_coo_and_bmat(p, k, bc, M, monkeypatch):
 
     alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
     K = _bmat_reference(mass, stiff, G1, X2, Y2, unk.r_stages, alpha, k)
-    _assert_same_sparse(system.K, K)
+    full = real_form_matrix(system)   # from the band, bit for bit, and the border
+    assert np.array_equal(full[:2 * k * n, :2 * k * n], K.toarray())
     B, C = _loop_layout_reference(data["N"], data["du"], G1, X2, Y2, alpha,
                                   unk.r_stages, data["denoms"], k, n)
-    assert np.array_equal(system.B, B)
-    assert np.array_equal(system.C, C)
+    assert np.array_equal(full[:2 * k * n, 2 * k * n:], B)
+    assert np.array_equal(full[2 * k * n:, :2 * k * n], C)
+    assert np.array_equal(full[2 * k * n:, 2 * k * n:], alpha)
 
 
 def _integrate_density_reference(space, v, F, nq):
