@@ -47,7 +47,6 @@ class FemSpace:
     num_dofs: int
     dof_map: np.ndarray
     dof_coords: np.ndarray
-    ref_nodes: np.ndarray  # equispaced Lagrange nodes on [0, 1]
 
 
 def build_space(a, b, num_elements, degree, bc):
@@ -82,8 +81,12 @@ def build_space(a, b, num_elements, degree, bc):
         dof_coords = a + np.arange(1, n_nodes) * (h / p)
 
     return FemSpace(mesh=mesh, degree=p, num_dofs=num_dofs,
-                    dof_map=dof_map.astype(np.int64), dof_coords=dof_coords,
-                    ref_nodes=np.arange(p + 1) / p)
+                    dof_map=dof_map.astype(np.int64), dof_coords=dof_coords)
+
+
+def reference_nodes(p):
+    """The p + 1 equispaced Lagrange nodes of the degree-p basis on [0, 1]."""
+    return np.arange(p + 1) / p
 
 
 def reference_quadrature(nq):
@@ -101,7 +104,7 @@ def basis_tables(p, nq):
     """(points, weights, phi, dphi) on [0, 1] of the degree-p basis; phi/dphi have shape
     (nq, p+1).  Built once per (p, nq), read-only, since every caller shares them."""
     pts, wts = reference_quadrature(nq)
-    nodes = np.arange(p + 1) / p   # FemSpace.ref_nodes
+    nodes = reference_nodes(p)
     tables = pts, wts, lagrange_basis(nodes, pts), lagrange_basis_deriv(nodes, pts)
     for table in tables:
         table.flags.writeable = False
@@ -195,8 +198,8 @@ def evaluate(space, v, x):
     e = min(int((x - mesh.a) / mesh.h), mesh.num_elements - 1)
     xi = (x - mesh.a) / mesh.h - e
     local = element_coefficients(space, v)[e]
-    return (local @ lagrange_basis(space.ref_nodes, xi)[0],
-            (local @ lagrange_basis_deriv(space.ref_nodes, xi)[0]) / mesh.h)
+    return (local @ lagrange_basis(reference_nodes(space.degree), xi)[0],
+            (local @ lagrange_basis_deriv(reference_nodes(space.degree), xi)[0]) / mesh.h)
 
 
 def error_norms(space, v, exact, exact_grad):

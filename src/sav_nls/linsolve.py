@@ -39,10 +39,10 @@ class BandLU:
     width: int
 
     def solve(self, b):
-        """K^-1 b for 1-D or 2-D b, which is left as it is."""
+        """K^-1 b for 1-D or 2-D b, in b's storage if b is Fortran-ordered float64."""
         if len(b) == 0:   # dgbtrs rejects an empty band: every unknown is in the border
             return b
-        return dgbtrs(self.lu, self.width, self.width, b, self.piv)[0]
+        return dgbtrs(self.lu, self.width, self.width, b, self.piv, overwrite_b=1)[0]
 
 
 def factor(K):
@@ -67,7 +67,7 @@ def factor(K):
 class BorderedSystem:
     """K x + B y = rhs_main;  C x + Dmat y = rhs_border, with K a Band or a sparse
     matrix.  `product`, when given, maps (x, y) to (K x + B y, C x + Dmat y) without
-    reading K; the residual check needs it for a Band, whose storage factor overwrites."""
+    reading K or B; a Band K needs it, as its solve overwrites K and B (LU, W)."""
 
     K: object
     B: np.ndarray
@@ -103,7 +103,7 @@ def solve_bordered(system, factorization=None):
         S = system.Dmat - C @ W
     else:
         lu, W, S = factorization
-    y = lu.solve(system.rhs_main)
+    y = lu.solve(system.rhs_main.copy())   # rhs_main is kept for the residual
     try:
         x_border = np.linalg.solve(S, system.rhs_border - C @ y)
     except np.linalg.LinAlgError as exc:

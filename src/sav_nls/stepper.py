@@ -113,9 +113,8 @@ def _linear_residual(state, u_stages, asm, scheme, tau):
 
 def _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian):
     """All per-stage quantities for the residual and (optionally) the Jacobian."""
-    space = asm.space
+    space, k = asm.space, len(unknowns.r_stages)
     h = space.mesh.h
-    k = len(unknowns.r_stages)
     du, lin = _linear_residual(state, unknowns.u_stages, asm, scheme, tau)
     nodal_r = np.concatenate([[state.r], unknowns.r_stages])
     dr = (2.0 / tau) * (scheme.diff_matrix @ nodal_r)   # (k,)
@@ -419,9 +418,7 @@ def integrate(u0_fn, cfg, space, nl, T, observers=(), nq=None):
     for obs in observers:
         if hasattr(obs, "start"):
             obs.start(state, asm, scheme, nl)
-    reports = []
-    states = [state]
-    previous = None
+    reports, states, previous = [], [state], None
     for n in range(1, N + 1):
         try:
             new_state, report = advance(state, cfg, asm, scheme, nl, previous)

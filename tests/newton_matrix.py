@@ -14,8 +14,8 @@ def band_order(n, k):
 
 def real_form_matrix(system):
     """[[K, B], [C, Dmat]] of the Newton system, dense and in stage-major order, as
-    sp.bmat of the real-form blocks lays it out; read from the band before it is
-    factored.  Every band slot off the matrix, and dgbtrf's fill-in rows, must be 0."""
+    sp.bmat of the real-form blocks lays it out; read before a solve overwrites the
+    band and B.  Every band slot off the matrix, and dgbtrf's fill-in rows, must be 0."""
     ab, w = system.K.ab, system.K.width
     ni, nb = ab.shape[1], len(system.Dmat)
     i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(ni), np.arange(ni))) <= w)

@@ -5,7 +5,8 @@ from sav_nls.collocation import lagrange_basis, lagrange_basis_deriv
 from sav_nls.errors import ConfigurationError, InputError
 from sav_nls.fem import (DIRICHLET, PERIODIC, assemble_mass, assemble_stiffness,
                          basis_tables, build_space, element_coefficients, error_norms,
-                         evaluate, interpolate, matrix_pattern, reference_quadrature)
+                         evaluate, interpolate, matrix_pattern, reference_nodes,
+                         reference_quadrature)
 
 
 def sech(x):
@@ -191,9 +192,10 @@ def test_element_coefficients_take_matches_ellipsis_indexing(bc):
 
 def test_basis_tables_are_built_once_per_degree_and_order():
     # one read-only set of tables per (degree, nq), with the bits of tables built
-    # afresh on a space's ref_nodes
+    # afresh on the equispaced Lagrange nodes
     for p in range(1, 5):
-        ref_nodes = build_space(-1.0, 2.0, 3, p, PERIODIC).ref_nodes
+        ref_nodes = reference_nodes(p)
+        np.testing.assert_allclose(ref_nodes, np.linspace(0.0, 1.0, p + 1), rtol=0, atol=1e-15)
         for nq in (p + 1, p + 2, p + 3):
             tables = basis_tables(p, nq)
             assert basis_tables(p, nq) is tables
@@ -270,8 +272,8 @@ def test_error_norms_first_order_rate_for_p1():
 def _values_on_every_element(space, v, ref_pts):
     """(u, du) of v at ref_pts on every element, shape (M, len(ref_pts)), with Lagrange
     tables of its own: the former evaluation path of error_norms and evaluate."""
-    phi = lagrange_basis(space.ref_nodes, ref_pts)
-    dphi = lagrange_basis_deriv(space.ref_nodes, ref_pts)
+    phi = lagrange_basis(reference_nodes(space.degree), ref_pts)
+    dphi = lagrange_basis_deriv(reference_nodes(space.degree), ref_pts)
     local = element_coefficients(space, v)
     return local @ phi.T, (local @ dphi.T) / space.mesh.h
 

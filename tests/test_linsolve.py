@@ -183,7 +183,7 @@ def test_banded_newton_solve_matches_splu(p, k, bc, M):
     system = _newton_system(p, k, bc, M, seed)
     width = 2 * k * (p + 1) - 1   # of dof-major unknowns; at M = 2 no two band dofs are p apart
     assert system.K.width == width if M > 2 else system.K.width < width
-    full = real_form_matrix(system)   # before the band is factored in place
+    full = real_form_matrix(system)   # before the solve overwrites the band and B
     sol = solve_bordered(system)
     assert isinstance(sol.lu, BandLU) and sol.S.shape == (3 * k, 3 * k)
     rhs = to_stage_order(system.rhs_main, system.rhs_border)
@@ -209,8 +209,7 @@ def test_banded_newton_solve_matches_splu(p, k, bc, M):
 
 def test_band_is_factored_in_place(monkeypatch):
     # a copy of the band (a C-ordered one, which dgbtrf copies silently) or of
-    # B' on its way to W = K^-1 B' would cost several MB of peak RSS at the
-    # benchmark's size
+    # W = K^-1 B' would cost several MB of peak RSS at the benchmark's size
     k = 3
     system = _newton_system(3, k, PERIODIC, 40, 0)
     factored, solved, solve = [], [], BandLU.solve
@@ -231,7 +230,7 @@ def test_band_is_factored_in_place(monkeypatch):
     assert lu is sol.lu and np.shares_memory(band.ab, lu.lu)
     B_wide, W = solved[0]   # B' = [K_io, B]: dof 0's 2k unknowns joined the k SAV ones
     assert B_wide is system.B and B_wide.flags.f_contiguous
-    assert W is sol.W and not np.shares_memory(B_wide, W)   # dgbtrs' one new array
+    assert W is sol.W and np.shares_memory(B_wide, W)   # W = K^-1 B' in B's storage
     assert W.shape == system.B.shape == (len(system.rhs_main), 3 * k)
 
 

@@ -759,7 +759,8 @@ def _integrate_density_reference(space, v, F, nq):
     """int F(|v|^2) dx as fem.integrate_density computed it, with basis tables of
     its own."""
     pts, wts = fem.reference_quadrature(nq)
-    u = fem.element_coefficients(space, v) @ lagrange_basis(space.ref_nodes, pts).T
+    phi = lagrange_basis(fem.reference_nodes(space.degree), pts)
+    u = fem.element_coefficients(space, v) @ phi.T
     return float(space.mesh.h * np.sum(wts[None, :] * F(np.abs(u) ** 2)))
 
 
