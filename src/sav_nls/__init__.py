@@ -17,7 +17,7 @@ from .fem import (DIRICHLET, PERIODIC, FemSpace, Mesh1D, assemble_mass,
 from .linsolve import BorderedSolution, BorderedSystem, factor, solve_bordered
 from .model import (Nonlinearity, SavState, g_derivatives, g_times_u,
                     power_law, r_init)
-from .stepper import (Assemblies, SlabUnknowns, StepReport, StepperConfig,
+from .stepper import (Assemblies, Slab, SlabUnknowns, StepReport, StepperConfig,
                       TrajectorySummary, advance, integrate, newton_step,
                       residual)
 

@@ -17,11 +17,13 @@ z_j = dR_j - R_j sigma_j / (2 d_j) with sigma_j = Re<N_j, dU_j>.  The Jacobian
 is written straight into LAPACK band storage, with dof 0's unknowns in the
 border, and its solve is checked with the Jacobian applied in stage form.  A
 nearly converged exact step is followed by a chord step with its factorization
-(see _newton).  The linear (kappa = 0) problem short-circuits to one complex solve.
+(see advance).  The linear (kappa = 0) problem short-circuits to one complex solve.
+Every slab of a run solves with one Slab, which builds the main-block data once.
 """
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,7 +59,7 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class Assemblies:
-    """Space plus the operators, quadrature tables and main blocks reused every slab."""
+    """An FE space with its operators and quadrature tables, shared by every slab."""
 
     space: object
     pattern: object        # fem.MatrixPattern of every operator below
@@ -65,7 +67,6 @@ class Assemblies:
     stiff: sp.csr_matrix
     quad_wts: np.ndarray   # nq reference weights on [0, 1]
     phi: np.ndarray        # (nq, p+1) basis values at the quadrature points
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, space, nq=None):
@@ -74,6 +75,44 @@ class Assemblies:
         pattern = matrix_pattern(space)
         return cls(space=space, pattern=pattern, mass=assemble_mass(space, pattern),
                    stiff=assemble_stiffness(space, pattern), quad_wts=wts, phi=phi)
+
+
+@dataclass(frozen=True)
+class Slab:
+    """What every slab of one run solves with, and the main-block data derived
+    from it, each built on first use and kept for the run."""
+
+    cfg: StepperConfig
+    asm: Assemblies
+    scheme: object   # collocation.CollocationScheme of order cfg.k
+    nl: object       # model.Nonlinearity
+
+    @cached_property
+    def band_slots(self):
+        """Half-bandwidth w of the dof-major Newton main block; base, the slot in its flat
+        band storage of each pattern entry (r, c) in real-form block (0, 0); and the
+        positions and r, c of the entries in dof 0's column and row.  Block (a, b) adds
+        b ld + a - b (ld = 3w + 1) to the slot (c - 1) 2k ld + 2w + (r - c) 2k of band entry
+        ((r - 1) 2k + a, (c - 1) 2k + b); an entry of dof 0 lands in 2k columns past the band."""
+        pattern, k = self.asm.pattern, self.cfg.k
+        n = len(pattern.indptr) - 1
+        r = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        c = pattern.indices.astype(np.int64)
+        inner = (r > 0) & (c > 0)
+        width = int(((np.abs(r - c) + 1) * 2 * k - 1)[inner].max(initial=0))
+        ld = 3 * width + 1
+        base = np.where(inner, (c - 1) * 2 * k * ld + 2 * width + (r - c) * 2 * k,
+                        ld * 2 * k * (n - 1))
+        col0, row0 = np.flatnonzero(c == 0), np.flatnonzero(r == 0)
+        return width, base, (col0, r[col0]), (row0, c[row0])
+
+    @cached_property
+    def linear_block(self):
+        """kappa = 0: the complex stage matrix [i alpha[j, m] M + (j == m) A] in CSC."""
+        k, mass, stiff = self.cfg.k, self.asm.mass, self.asm.stiff
+        alpha = (2.0 / self.cfg.tau) * self.scheme.diff_matrix[:, 1:]
+        return sp.bmat([[1j * alpha[j, m] * mass + stiff if j == m else 1j * alpha[j, m] * mass
+                         for m in range(k)] for j in range(k)], format="csc")
 
 
 @dataclass
@@ -104,20 +143,21 @@ class TrajectorySummary:
     scheme: object
 
 
-def _linear_residual(state, u_stages, asm, scheme, tau):
+def _linear_residual(slab, state, u_stages):
     """Stage time derivatives du (k, ndof) and the linear residual i M du + A U."""
     nodal_u = np.vstack([state.u[None, :], u_stages])
-    du = (2.0 / tau) * (scheme.diff_matrix @ nodal_u)
-    return du, (1j * (asm.mass @ du.T) + asm.stiff @ u_stages.T).T
+    du = (2.0 / slab.cfg.tau) * (slab.scheme.diff_matrix @ nodal_u)
+    return du, (1j * (slab.asm.mass @ du.T) + slab.asm.stiff @ u_stages.T).T
 
 
-def _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian):
+def _stage_data(slab, state, unknowns, need_jacobian):
     """All per-stage quantities for the residual and (optionally) the Jacobian."""
+    asm, nl = slab.asm, slab.nl
     space, k = asm.space, len(unknowns.r_stages)
     h = space.mesh.h
-    du, lin = _linear_residual(state, unknowns.u_stages, asm, scheme, tau)
+    du, lin = _linear_residual(slab, state, unknowns.u_stages)
     nodal_r = np.concatenate([[state.r], unknowns.r_stages])
-    dr = (2.0 / tau) * (scheme.diff_matrix @ nodal_r)   # (k,)
+    dr = (2.0 / slab.cfg.tau) * (slab.scheme.diff_matrix @ nodal_r)   # (k,)
 
     u_q = element_coefficients(space, unknowns.u_stages) @ asm.phi.T   # (k, M, nq)
     s_q = np.abs(u_q) ** 2
@@ -148,9 +188,9 @@ def _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian):
     return data
 
 
-def residual(state, unknowns, asm, scheme, nl, tau):
+def residual(slab, state, unknowns):
     """Collocation residual (res_u: (k, ndof) complex, res_r: (k,) real)."""
-    data = _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian=False)
+    data = _stage_data(slab, state, unknowns, need_jacobian=False)
     return data["res_u"], data["res_r"]
 
 
@@ -183,40 +223,19 @@ def _newton_rhs(data):
     return band, np.concatenate([dof0, -data["res_r"]])
 
 
-def _band_slots(pattern, k):
-    """Half-bandwidth w of the dof-major main block; base, the slot in its flat band
-    storage of each pattern entry (r, c) in real-form block (0, 0); and the positions
-    and r, c of the entries in dof 0's column and row.  Block (a, b) adds b ld + a - b
-    (ld = 3w + 1) to the slot (c - 1) 2k ld + 2w + (r - c) 2k of band entry
-    ((r - 1) 2k + a, (c - 1) 2k + b); an entry of dof 0 lands in 2k columns past the band."""
-    n = len(pattern.indptr) - 1
-    r = np.repeat(np.arange(n), np.diff(pattern.indptr))
-    c = pattern.indices.astype(np.int64)
-    inner = (r > 0) & (c > 0)
-    width = int(((np.abs(r - c) + 1) * 2 * k - 1)[inner].max(initial=0))
-    ld = 3 * width + 1
-    base = np.where(inner, (c - 1) * 2 * k * ld + 2 * width + (r - c) * 2 * k,
-                    ld * 2 * k * (n - 1))
-    col0, row0 = np.flatnonzero(c == 0), np.flatnonzero(r == 0)
-    return width, base, (col0, r[col0]), (row0, c[row0])
-
-
-def _assemble_newton_system(unknowns, asm, scheme, tau, data):
+def _assemble_newton_system(slab, unknowns, data):
     """Bordered real-form Jacobian and right-hand side at the current iterate, in
     the unknowns (dU, z) with z = dR - R sigma / (2 d); see the module docstring.
     The main block is the band of the unknowns of dofs 1..n-1; dof 0's 2k unknowns
     join the k of z in the border: B' = [K_io, B], C' = [[K_oi], [C]] and
     Dmat' = [[K_oo, B_o], [C_o, Dmat]], with _i and _o the band and dof 0 parts."""
-    R = unknowns.r_stages
+    R, asm = unknowns.r_stages, slab.asm
     n, k = asm.space.num_dofs, len(R)
     Md, Ad = asm.mass.data, asm.stiff.data
-    alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]     # (k, k), stage coupling
+    alpha = (2.0 / slab.cfg.tau) * slab.scheme.diff_matrix[:, 1:]   # (k, k), stage coupling
     N, du = data["N"], data["du"]
     G1, X2, Y2 = data["G1"], data["X2"], data["Y2"]
-
-    if ("band_slots", k) not in asm.cache:
-        asm.cache["band_slots", k] = _band_slots(asm.pattern, k)
-    width, base, (col0, col0_r), (row0, row0_c) = asm.cache["band_slots", k]
+    width, base, (col0, col0_r), (row0, row0_c) = slab.band_slots
     ld, ni = 3 * width + 1, 2 * k * (n - 1)
     flat = np.zeros(ld * (ni + 2 * k))
     # B'^T and C' before _split_dof0, their unknowns as (stage, re/im, dof): [., 2j + s, dof]
@@ -275,17 +294,17 @@ def _increment_norm(asm, delta_u, delta_r):
     return float(max(max(l2), np.abs(delta_r).max()))
 
 
-def newton_step(state, unknowns, asm, scheme, nl, tau, chord=None):
+def newton_step(slab, state, unknowns, chord=None):
     """One Newton update; returns (unknowns, increment_norm, clamped_points, linearization).
     Without `chord` the step is exact, and its linearization is the ((R, N, denoms),
     system, (lu, W, S)) it factored.  Passed back as `chord`, that value makes a chord
     step: the fresh residual is solved with it, with no assembly and no factorization."""
-    data = _stage_data(state, unknowns, asm, scheme, nl, tau, need_jacobian=chord is None)
+    data = _stage_data(slab, state, unknowns, need_jacobian=chord is None)
     # allocated before this step factors: a long-lived array above a factorization's
     # storage on glibc's brk heap pins it there (with SuperLU, peak RSS rose 5-20%)
     updated = SlabUnknowns(unknowns.u_stages.copy(), unknowns.r_stages.copy())
     if chord is None:
-        system = _assemble_newton_system(unknowns, asm, scheme, tau, data)
+        system = _assemble_newton_system(slab, unknowns, data)
         x_main, x_border, _, *factorization = solve_bordered(system)
         lin = (unknowns.r_stages, data["N"], data["denoms"]), system, factorization
     else:
@@ -299,86 +318,66 @@ def newton_step(state, unknowns, asm, scheme, nl, tau, chord=None):
     delta_r = x_border[-len(R):] + R / (2.0 * denoms) * sigma
     updated.u_stages += delta_u   # the bits of u + du
     updated.r_stages += delta_r
-    inc = _increment_norm(asm, delta_u, delta_r)
+    inc = _increment_norm(slab.asm, delta_u, delta_r)
     if not np.isfinite(inc):
-        raise StepError("Newton increment is not finite", increment_history=[inc])
+        raise StepError("Newton increment is not finite")
     return updated, inc, data.get("clamped", 0), lin   # a chord step evaluates no g derivatives
 
 
-def _advance_linear(state, unknowns, cfg, asm, scheme):
-    """kappa = 0: the stage system is linear and complex; solve it once from `unknowns`."""
-    k, tau = cfg.k, cfg.tau
-    if ("linear", tau, k) not in asm.cache:
-        alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
-        grid = [[1j * alpha[j, m] * asm.mass + asm.stiff if j == m
-                 else 1j * alpha[j, m] * asm.mass
-                 for m in range(k)] for j in range(k)]
-        asm.cache["linear", tau, k] = sp.bmat(grid, format="csc")
-
-    _, res_u = _linear_residual(state, unknowns.u_stages, asm, scheme, tau)
-    delta_u = factor(asm.cache["linear", tau, k]).solve(-res_u.reshape(-1)).reshape(k, -1)
-    unknowns = SlabUnknowns(unknowns.u_stages + delta_u, unknowns.r_stages)
-    inc = _increment_norm(asm, delta_u, np.zeros(k))
-
-    _, res_u = _linear_residual(state, unknowns.u_stages, asm, scheme, tau)
-    return unknowns, [inc], _residual_norm(res_u, np.zeros(k))
-
-
-def _newton(state, unknowns, cfg, asm, scheme, nl, history, factored):
-    """Newton iteration from `unknowns` until an increment norm is at most newton_tol;
-    returns (unknowns, clamped points).  Appends each increment to `history`, inf while
-    the step runs, so that a step that raises is counted, and to `factored` whether it
-    factored.  A chord step with the linearization of an exact step follows that step
-    when its increment e has newton_tol < e <= sqrt(newton_tol)."""
-    clamped_total, chord = 0, None
-    for _ in range(cfg.max_newton_iters):
-        history.append(np.inf)
-        factored.append(chord is None)
-        unknowns, e, clamped, lin = newton_step(state, unknowns, asm, scheme, nl, cfg.tau, chord)
-        history[-1] = e
-        clamped_total += clamped
-        if e <= cfg.newton_tol:
-            return unknowns, clamped_total
-        chord = lin if chord is None and e ** 2 <= cfg.newton_tol else None
-        del lin   # the next exact step factors with no earlier factorization alive
-    raise StepError(f"Newton did not converge in {cfg.max_newton_iters} iterations "
-                    f"(last increment {history[-1]:.3e})", increment_history=history)
-
-
-def advance(state, cfg, asm, scheme, nl, previous=None):
+def advance(slab, state, previous=None):
     """Solve one slab and return (new_state, StepReport).
 
-    With `previous`, the (start state, stages) of the slab just solved with the
-    same tau, Newton starts from that slab's collocation polynomial at this
-    slab's Gauss points (Hairer & Wanner, Solving ODEs II, IV.8), and starts
-    again from the constant value state if that fails; without it, from the
-    constant value.  No factorization of a failed start outlives its except
-    block.  The kappa = 0 path ignores `previous`.
+    Newton iterates until an increment norm is at most newton_tol; an exact step
+    whose increment e has newton_tol < e <= sqrt(newton_tol) is followed by a chord
+    step with its linearization.  With `previous`, the (start state, stages) of the
+    slab just solved with the same tau, Newton starts from that slab's collocation
+    polynomial at this slab's Gauss points (Hairer & Wanner, Solving ODEs II, IV.8),
+    and again from the constant value state if that fails; without it, from the
+    constant value.  No factorization of a failed start outlives its except block.
+    The last start's failure is a StepError with the slab's increment history.
+    The kappa = 0 path ignores `previous`.
     """
-    tau, k = cfg.tau, cfg.k
+    cfg, scheme = slab.cfg, slab.scheme
+    tau, k, tol = cfg.tau, cfg.k, cfg.newton_tol
     constant = SlabUnknowns(np.tile(state.u, (k, 1)), np.full(k, float(state.r)))
-    if nl.is_linear:
-        unknowns, history, res_final = _advance_linear(state, constant, cfg, asm, scheme)
-        factored, warnings = [True], []   # the kappa = 0 block matrix, once
+    history, factorizations, warnings = [], 0, []
+    if slab.nl.is_linear:
+        _, res_u = _linear_residual(slab, state, constant.u_stages)
+        delta_u = factor(slab.linear_block).solve(-res_u.reshape(-1)).reshape(k, -1)
+        unknowns = SlabUnknowns(constant.u_stages + delta_u, constant.r_stages)
+        history, factorizations = [_increment_norm(slab.asm, delta_u, np.zeros(k))], 1
+        _, res_u = _linear_residual(slab, state, unknowns.u_stages)
+        res_final = _residual_norm(res_u, np.zeros(k))
     else:
-        history, factored, warnings = [], [], []
         starts = [constant]
         if previous is not None:
             (prev_state, stages), E = previous, scheme.extrapolation_matrix
             starts.insert(0, SlabUnknowns(E @ np.vstack([prev_state.u, stages.u_stages]),
                                           E @ np.append(prev_state.r, stages.r_stages)))
         for start in starts:
+            unknowns, chord, clamped = start, None, 0
             try:
-                unknowns, clamped = _newton(state, start, cfg, asm, scheme, nl, history, factored)
+                for _ in range(cfg.max_newton_iters):
+                    history.append(np.inf)   # until the step returns: a step that raises counts
+                    factorizations += chord is None
+                    unknowns, e, step_clamped, lin = newton_step(slab, state, unknowns, chord)
+                    history[-1], clamped = e, clamped + step_clamped
+                    chord = lin if chord is None and e ** 2 <= tol < e else None
+                    del lin   # the next exact step factors with no earlier factorization alive
+                    if e <= tol:
+                        break
+                else:
+                    raise StepError(f"Newton did not converge in {cfg.max_newton_iters} "
+                                    f"iterations (last increment {history[-1]:.3e})")
                 break
             except NumericalError as exc:
                 if start is starts[-1]:
-                    raise
+                    raise StepError(str(exc), increment_history=history) from exc
                 warnings.append(f"restarted Newton from the constant value; the start from the "
                                 f"previous slab's polynomial failed at step {len(history)}: {exc}")
         if clamped:
             warnings.append(f"clamped singular g derivatives at {clamped} points")
-        res_final = _residual_norm(*residual(state, unknowns, asm, scheme, nl, tau))
+        res_final = _residual_norm(*residual(slab, state, unknowns))
 
     e = scheme.endpoint_weights
     u_end = e[0] * state.u + e[1:] @ unknowns.u_stages
@@ -386,7 +385,7 @@ def advance(state, cfg, asm, scheme, nl, previous=None):
     new_state = SavState(u=u_end, r=r_end, t=state.t + tau)
     report = StepReport(iterations=len(history), increment_history=history,
                         residual_final=res_final, stages=unknowns,
-                        factorizations=sum(factored), warnings=warnings)
+                        factorizations=factorizations, warnings=warnings)
     return new_state, report
 
 
@@ -413,6 +412,7 @@ def integrate(u0_fn, cfg, space, nl, T, observers=(), nq=None):
     N = num_slabs(T, cfg.tau)
     asm = Assemblies.build(space, nq=nq)
     scheme = collocation_scheme(cfg.k)
+    slab = Slab(cfg, asm, scheme, nl)
     u0 = interpolate(space, u0_fn)
     state = SavState(u=u0, r=r_init(asm, u0, nl), t=0.0)
     for obs in observers:
@@ -421,7 +421,7 @@ def integrate(u0_fn, cfg, space, nl, T, observers=(), nq=None):
     reports, states, previous = [], [state], None
     for n in range(1, N + 1):
         try:
-            new_state, report = advance(state, cfg, asm, scheme, nl, previous)
+            new_state, report = advance(slab, state, previous)
         except NumericalError as exc:
             raise StepError(f"slab {n} (t={state.t:.6g}): {exc}",
                             increment_history=getattr(exc, "increment_history", None),

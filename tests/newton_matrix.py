@@ -1,8 +1,16 @@
-"""The full real-form Newton matrix, rebuilt from the band and border that
+"""Helpers of the stepper tests: the Slab of a test's operators, and the full
+real-form Newton matrix, rebuilt from the band and border that
 stepper._assemble_newton_system writes, for tests that compare it with
 references assembled in other ways."""
 
 import numpy as np
+
+from sav_nls.stepper import Slab, StepperConfig
+
+
+def make_slab(asm, scheme, nl, tau, **options):
+    """Slab(StepperConfig(tau, k, **options), asm, scheme, nl), with k the scheme's order."""
+    return Slab(StepperConfig(tau=tau, k=len(scheme.rule.nodes), **options), asm, scheme, nl)
 
 
 def band_order(n, k):

@@ -19,7 +19,7 @@ from sav_nls.stepper import (Assemblies, SlabUnknowns, StepperConfig,
                              _assemble_newton_system, _real_parts, _stage_data,
                              advance, integrate, residual)
 
-from newton_matrix import real_form_matrix
+from newton_matrix import make_slab, real_form_matrix
 
 TABLE_TIME_K2 = {  # reference L-infinity H1 errors for the p=3 benchmark
     1 / 60: 3.7964e-05, 1 / 70: 2.3429e-05, 1 / 80: 1.5460e-05,
@@ -147,7 +147,7 @@ def test_criterion_6_linear_propagator_oracle():
         scheme = collocation_scheme(k)
         errs = []
         for tau in (0.2, 0.1, 0.05):
-            new, _ = advance(state, StepperConfig(tau=tau, k=k), asm, scheme, nl)
+            new, _ = advance(make_slab(asm, scheme, nl, tau), state)
             errs.append(np.linalg.norm(new.u - dense_propagate(tau)))
         orders = np.log(np.array(errs[:-1]) / errs[1:]) / np.log(2.0)
         ok = np.all(orders >= k + 1)
@@ -238,9 +238,10 @@ def test_criterion_8_jacobian_directional_derivative():
     scheme = collocation_scheme(k)
     n = space.num_dofs
     rng = np.random.default_rng(3)
+    slab = make_slab(asm, scheme, nl, tau)
 
     def res_vec(state, unk):
-        ru, rr = residual(state, unk, asm, scheme, nl, tau)
+        ru, rr = residual(slab, state, unk)
         return np.concatenate([_real_parts(ru), rr])
 
     worst = 0.0
@@ -250,8 +251,8 @@ def test_criterion_8_jacobian_directional_derivative():
         unk = SlabUnknowns(rng.standard_normal((k, n))
                            + 1j * rng.standard_normal((k, n)),
                            1.0 + 0.3 * rng.standard_normal(k))
-        data = _stage_data(state, unk, asm, scheme, nl, tau, need_jacobian=True)
-        system = _assemble_newton_system(unk, asm, scheme, tau, data)
+        data = _stage_data(slab, state, unk, need_jacobian=True)
+        system = _assemble_newton_system(slab, unk, data)
         J = real_form_matrix(system)
         for _ in range(10):
             d = rng.standard_normal(2 * k * n + k)

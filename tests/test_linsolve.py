@@ -14,7 +14,7 @@ from sav_nls.linsolve import RESIDUAL_TOL, BandLU, BorderedSystem, factor, solve
 from sav_nls.model import SavState, power_law
 from sav_nls.stepper import Assemblies, SlabUnknowns, _assemble_newton_system, _stage_data
 
-from newton_matrix import real_form_matrix, to_stage_order
+from newton_matrix import make_slab, real_form_matrix, to_stage_order
 
 
 def test_factor_identity():
@@ -167,9 +167,9 @@ def _newton_system(p, k, bc, M, seed):
     state = SavState(u=rng.standard_normal(n) + 1j * rng.standard_normal(n), r=1.3, t=0.0)
     unk = SlabUnknowns(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)),
                        1.0 + 0.2 * rng.standard_normal(k))
-    data = _stage_data(state, unk, asm, scheme, power_law(2.0, 3.0, c0=1.0), 0.17,
-                       need_jacobian=True)
-    return _assemble_newton_system(unk, asm, scheme, 0.17, data)
+    slab = make_slab(asm, scheme, power_law(2.0, 3.0, c0=1.0), 0.17)
+    data = _stage_data(slab, state, unk, need_jacobian=True)
+    return _assemble_newton_system(slab, unk, data)
 
 
 @pytest.mark.parametrize("M", [2, 5])

@@ -16,12 +16,12 @@ from sav_nls.errors import ConfigurationError, SolverError, StepError
 from sav_nls.fem import DIRICHLET, PERIODIC, build_space, interpolate
 from sav_nls.model import Nonlinearity, SavState, power_law, r_init
 from sav_nls.problems import soliton
-from sav_nls.stepper import (Assemblies, SlabUnknowns, StepperConfig,
+from sav_nls.stepper import (Assemblies, Slab, SlabUnknowns, StepperConfig,
                              _assemble_newton_system, _real_parts, _split_dof0, _stage_data,
                              _stage_vectors, advance, integrate, newton_step, num_slabs,
                              residual)
 
-from newton_matrix import band_order, real_form_matrix, to_stage_order
+from newton_matrix import band_order, make_slab, real_form_matrix, to_stage_order
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -71,7 +71,7 @@ def test_residual_zero_state_is_zero():
     state = _zeros_state(space, r0)
     unknowns = SlabUnknowns(np.zeros((k, space.num_dofs), dtype=complex),
                             np.full(k, r0))
-    res_u, res_r = residual(state, unknowns, asm, scheme, nl, tau=0.1)
+    res_u, res_r = residual(make_slab(asm, scheme, nl, 0.1), state, unknowns)
     np.testing.assert_array_equal(res_u, 0.0)
     np.testing.assert_allclose(res_r, 0.0, atol=1e-13)
 
@@ -95,7 +95,7 @@ def test_residual_matches_dense_gauss_irk_oracle():
     scheme = collocation_scheme(2)
     state = SavState(u=u0, r=1.0, t=0.0)
     unknowns = SlabUnknowns(stages, np.full(2, 1.0))
-    res_u, res_r = residual(state, unknowns, asm, scheme, nl, tau)
+    res_u, res_r = residual(make_slab(asm, scheme, nl, tau), state, unknowns)
     scale = max(1.0, np.linalg.norm(u0))
     assert np.linalg.norm(res_u) <= 1e-11 * scale
     np.testing.assert_allclose(res_r, 0.0, atol=1e-12)
@@ -115,7 +115,7 @@ def test_residual_matches_scalar_oracle():
     R = 1.0 + 0.2 * rng.standard_normal(k)
     state = SavState(u=np.array([u0]), r=1.1, t=0.0)
     unknowns = SlabUnknowns(U[:, None].astype(complex), R)
-    res_u, res_r = residual(state, unknowns, asm, scheme, nl, tau)
+    res_u, res_r = residual(make_slab(asm, scheme, nl, tau), state, unknowns)
 
     # independent rebuild: hat function peaked at x=0.5, h = 1/2
     h = 0.5
@@ -166,10 +166,10 @@ def _soliton_setup(M=40, p=2, k=2):
 
 def test_newton_fixed_point():
     space, asm, nl, state, scheme = _soliton_setup()
-    cfg = StepperConfig(tau=0.1, k=2)
-    new_state, report = advance(state, cfg, asm, scheme, nl)
+    slab = make_slab(asm, scheme, nl, 0.1)
+    new_state, report = advance(slab, state)
     solved = report.stages
-    _, inc, _, _ = newton_step(state, solved, asm, scheme, nl, cfg.tau)
+    _, inc, _, _ = newton_step(slab, state, solved)
     assert inc <= 1e-12
 
 
@@ -179,8 +179,7 @@ def test_linear_problem_single_iteration():
     nl = power_law(0.0, 3.0, c0=1.0)
     u0 = interpolate(space, lambda x: np.exp(2j * np.pi * x))
     state = SavState(u=u0, r=1.0, t=0.0)
-    cfg = StepperConfig(tau=0.05, k=2)
-    _, report = advance(state, cfg, asm, collocation_scheme(2), nl)
+    _, report = advance(make_slab(asm, collocation_scheme(2), nl, 0.05), state)
     assert report.iterations == 1
     assert report.residual_final <= 1e-10
 
@@ -190,8 +189,7 @@ def test_advance_zero_data():
     asm = Assemblies.build(space)
     nl = power_law(1.0, 3.0, c0=1.0)
     state = _zeros_state(space, np.sqrt(nl.c0))
-    cfg = StepperConfig(tau=0.2, k=2)
-    new_state, report = advance(state, cfg, asm, collocation_scheme(2), nl)
+    new_state, report = advance(make_slab(asm, collocation_scheme(2), nl, 0.2), state)
     np.testing.assert_allclose(new_state.u, 0.0, atol=1e-14)
     np.testing.assert_allclose(new_state.r, np.sqrt(nl.c0), rtol=1e-14)
     assert report.iterations == 1
@@ -199,8 +197,7 @@ def test_advance_zero_data():
 
 def test_single_slab_mass_conservation():
     space, asm, nl, state, scheme = _soliton_setup(M=60, p=2, k=3)
-    cfg = StepperConfig(tau=0.1, k=3)
-    new_state, _ = advance(state, cfg, asm, scheme, nl)
+    new_state, _ = advance(make_slab(asm, scheme, nl, 0.1), state)
     m0 = np.real(np.vdot(state.u, asm.mass @ state.u))
     m1 = np.real(np.vdot(new_state.u, asm.mass @ new_state.u))
     assert abs(m1 - m0) <= 1e-11 * m0
@@ -215,8 +212,8 @@ def test_linear_time_reversibility(k):
     u0 = rng.standard_normal(space.num_dofs) + 1j * rng.standard_normal(space.num_dofs)
     state = SavState(u=u0, r=1.0, t=0.0)
     scheme = collocation_scheme(k)
-    fwd, _ = advance(state, StepperConfig(tau=0.2, k=k), asm, scheme, nl)
-    back, _ = advance(fwd, StepperConfig(tau=-0.2, k=k), asm, scheme, nl)
+    fwd, _ = advance(make_slab(asm, scheme, nl, 0.2), state)
+    back, _ = advance(make_slab(asm, scheme, nl, -0.2), fwd)
     assert np.linalg.norm(back.u - u0) <= 1e-10 * np.linalg.norm(u0)
 
 
@@ -234,26 +231,24 @@ def test_nonlinear_time_reversibility_and_phase_invariance(k, bc):
     scheme = collocation_scheme(k)
     u0 = interpolate(space, prob.u0)
     state = SavState(u=u0, r=r_init(asm, u0, nl), t=0.0)
-    fwd, _ = advance(state, StepperConfig(tau=0.1, k=k), asm, scheme, nl)
-    back, _ = advance(fwd, StepperConfig(tau=-0.1, k=k), asm, scheme, nl)
+    forward, backward = make_slab(asm, scheme, nl, 0.1), make_slab(asm, scheme, nl, -0.1)
+    fwd, _ = advance(forward, state)
+    back, _ = advance(backward, fwd)
     assert np.linalg.norm(back.u - u0) <= 1e-12 * np.linalg.norm(u0)
     assert abs(back.r - state.r) <= 1e-12 * abs(state.r)
 
     phase = np.exp(0.7j)
-    rotated, _ = advance(SavState(u=phase * u0, r=state.r, t=0.0), StepperConfig(tau=0.1, k=k),
-                         asm, scheme, nl)
+    rotated, _ = advance(forward, SavState(u=phase * u0, r=state.r, t=0.0))
     assert np.linalg.norm(rotated.u - phase * fwd.u) <= 1e-12 * np.linalg.norm(fwd.u)
     assert abs(rotated.r - fwd.r) <= 1e-12 * abs(fwd.r)
 
-    conj_back, _ = advance(SavState(u=u0.conj(), r=state.r, t=0.0),
-                           StepperConfig(tau=-0.1, k=k), asm, scheme, nl)
+    conj_back, _ = advance(backward, SavState(u=u0.conj(), r=state.r, t=0.0))
     assert np.linalg.norm(conj_back.u - fwd.u.conj()) <= 1e-12 * np.linalg.norm(fwd.u)
     assert abs(conj_back.r - fwd.r) <= 1e-12 * abs(fwd.r)
 
     if bc == PERIODIC:
         p = space.degree
-        shifted, _ = advance(SavState(u=np.roll(u0, p), r=state.r, t=0.0),
-                             StepperConfig(tau=0.1, k=k), asm, scheme, nl)
+        shifted, _ = advance(forward, SavState(u=np.roll(u0, p), r=state.r, t=0.0))
         assert np.linalg.norm(shifted.u - np.roll(fwd.u, p)) <= 1e-12 * np.linalg.norm(fwd.u)
         assert abs(shifted.r - fwd.r) <= 1e-12 * abs(fwd.r)
 
@@ -283,8 +278,9 @@ def test_predictor_matches_cold_start(k, bc):
     log = _SlabLog()
     summary = integrate(prob.u0, cfg, space, nl, 0.5, observers=(log,))
     warm_iters = cold_iters = 0
+    slab = Slab(cfg, summary.assemblies, summary.scheme, nl)
     for n, (state, new, report) in enumerate(log.slabs, start=1):
-        cold, cold_report = advance(state, cfg, summary.assemblies, summary.scheme, nl)
+        cold, cold_report = advance(slab, state)
         if n == 1:
             assert np.array_equal(new.u, cold.u) and new.r == cold.r
             assert report.increment_history == cold_report.increment_history
@@ -456,11 +452,11 @@ def test_chord_step_solver_error_restarts_like_an_exact_one(monkeypatch):
     summary = integrate(prob.u0, cfg, space, nl, 0.2, observers=(log,))
     (state0, state1, report1), (_, new, report) = log.slabs
     assert report.factorizations == report.iterations - 1
-    asm, scheme = summary.assemblies, summary.scheme
-    cold, cold_report = advance(state1, cfg, asm, scheme, nl)
+    slab = Slab(cfg, summary.assemblies, summary.scheme, nl)
+    cold, cold_report = advance(slab, state1)
     live = _count_live_factorizations(monkeypatch)
     _log_bordered_solves(monkeypatch, fail_chord=True)
-    new, report = advance(state1, cfg, asm, scheme, nl, previous=(state0, report1.stages))
+    new, report = advance(slab, state1, previous=(state0, report1.stages))
     assert live == [0] * report.factorizations
     assert np.array_equal(new.u, cold.u) and new.r == cold.r
     assert report.increment_history[3:] == [np.inf] + cold_report.increment_history
@@ -482,12 +478,77 @@ def test_failed_predictor_restarts_from_constant_value():
     log = _SlabLog()
     summary = integrate(prob.u0, cfg, space, nl, 0.2, observers=(log,))
     state, new, report = log.slabs[1]
-    cold, cold_report = advance(state, cfg, summary.assemblies, summary.scheme, nl)
+    cold, cold_report = advance(Slab(cfg, summary.assemblies, summary.scheme, nl), state)
     assert np.array_equal(new.u, cold.u) and new.r == cold.r
     assert report.increment_history == [np.inf] + cold_report.increment_history
     assert report.warnings[0].startswith("restarted Newton from the constant value; the start "
                                          "from the previous slab's polynomial failed at step 1")
     assert "nonpositive" in report.warnings[0]
+
+
+def test_start_that_does_not_converge_restarts_from_constant_value(monkeypatch):
+    # slab 2's start from the previous slab's polynomial reports increment 1.0 for
+    # all max_newton_iters = 6 of its steps, which all factor; advance then solves
+    # the slab from the constant value, bit for bit as a cold start, and keeps the
+    # failed start's steps in the slab's history and factorization count
+    prob = soliton()
+    nl = power_law(prob.kappa, prob.q, c0=1.0)
+    space = build_space(prob.a, prob.b, 60, 2, PERIODIC)
+    cfg = StepperConfig(tau=0.1, k=2, max_newton_iters=6)
+    log = _SlabLog()
+    summary = integrate(prob.u0, cfg, space, nl, 0.2, observers=(log,))
+    (state0, state1, report1), _ = log.slabs
+    slab = Slab(cfg, summary.assemblies, summary.scheme, nl)
+    cold, cold_report = advance(slab, state1)
+    step, steps = stepper.newton_step, []
+
+    def stalled(*args, **kwargs):
+        unknowns, inc, clamped, lin = step(*args, **kwargs)
+        steps.append(inc)
+        return unknowns, 1.0 if len(steps) <= 6 else inc, clamped, lin
+
+    monkeypatch.setattr(stepper, "newton_step", stalled)
+    new, report = advance(slab, state1, previous=(state0, report1.stages))
+    assert np.array_equal(new.u, cold.u) and new.r == cold.r
+    assert report.increment_history == [1.0] * 6 + cold_report.increment_history
+    assert report.factorizations == 6 + cold_report.factorizations
+    assert "did not converge in 6 iterations" in report.warnings[0]
+
+
+def _count_builds(monkeypatch, name):
+    """Route the body of the cached property Slab.<name> through a counter, under
+    the property's own caching; returns the list of the Slabs it was built for."""
+    prop, built = vars(Slab)[name], []
+    build = prop.func
+
+    def counted(slab):
+        built.append(slab)
+        return build(slab)
+
+    monkeypatch.setattr(prop, "func", counted)
+    return built
+
+
+def test_per_run_data_is_built_once(monkeypatch):
+    # a 3-slab nonlinear run reads the band slots at every exact step and a 3-slab
+    # kappa = 0 run factors its stage matrix on every slab: each run builds them
+    # once.  Two Slabs on one Assemblies with different tau build their own blocks
+    slots, blocks = (_count_builds(monkeypatch, name) for name in ("band_slots", "linear_block"))
+    prob = soliton()
+    space = build_space(prob.a, prob.b, 30, 1, PERIODIC)
+    summary = integrate(prob.u0, StepperConfig(tau=0.1, k=2), space,
+                        power_law(2.0, 3.0, c0=1.0), 0.3)
+    assert len(slots) == 1 and blocks == []
+    assert sum(r.factorizations for r in summary.reports) >= 3
+    linear = power_law(0.0, 3.0, c0=1.0)
+    summary = integrate(prob.u0, StepperConfig(tau=0.1, k=2), space, linear, 0.3)
+    assert summary.num_slabs == 3 and len(slots) == 1 and len(blocks) == 1
+    asm, scheme, state = summary.assemblies, summary.scheme, summary.final_state
+    short, long = make_slab(asm, scheme, linear, 0.1), make_slab(asm, scheme, linear, 0.2)
+    for slab in (short, long, short, long):
+        advance(slab, state)
+    assert len(blocks) == 3 and blocks[1] is short and blocks[2] is long
+    assert (short.linear_block != long.linear_block).nnz > 0
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -515,17 +576,15 @@ def test_integral_reformulation_identity():
     # against arbitrary space-time test functions
     space, asm, nl, state, scheme = _soliton_setup(M=40, p=2, k=3)
     k, tau = 3, 0.1
-    cfg = StepperConfig(tau=tau, k=k)
-    new_state, report = advance(state, cfg, asm, scheme, nl)
+    slab = make_slab(asm, scheme, nl, tau)
+    new_state, report = advance(slab, state)
     U, R = report.stages.u_stages, report.stages.r_stages
     nodal_u = np.vstack([state.u[None, :], U])
-    slab = (0.0, tau)
-    u_poly = SlabPolynomial(values=nodal_u, slab=slab, nodes=scheme.nodes)
+    interval = (0.0, tau)
+    u_poly = SlabPolynomial(values=nodal_u, slab=interval, nodes=scheme.nodes)
     pu_poly = temporal_l2_project(u_poly)
 
-    from sav_nls.stepper import _stage_data
-    data = _stage_data(state, report.stages, asm, scheme, nl, tau,
-                       need_jacobian=False)
+    data = _stage_data(slab, state, report.stages, need_jacobian=False)
     N = data["N"]
 
     tq, wq = np.polynomial.legendre.leggauss(k + 2)
@@ -535,7 +594,7 @@ def test_integral_reformulation_identity():
         v_nodal = rng.standard_normal((k + 1, space.num_dofs)) \
             + 1j * rng.standard_normal((k + 1, space.num_dofs))
         v_nodal /= np.linalg.norm(v_nodal)
-        v_poly = SlabPolynomial(values=v_nodal, slab=slab, nodes=scheme.nodes)
+        v_poly = SlabPolynomial(values=v_nodal, slab=interval, nodes=scheme.nodes)
 
         term_dt = 0.0
         term_grad = 0.0
@@ -556,9 +615,8 @@ def test_integral_reformulation_identity():
 
 def test_newton_non_convergence_raises():
     space, asm, nl, state, scheme = _soliton_setup(M=30, p=1, k=2)
-    cfg = StepperConfig(tau=0.2, k=2, max_newton_iters=1)
     with pytest.raises(StepError) as err:
-        advance(state, cfg, asm, scheme, nl)
+        advance(make_slab(asm, scheme, nl, 0.2, max_newton_iters=1), state)
     assert len(err.value.increment_history) == 1
 
 
@@ -591,6 +649,7 @@ def test_integrate_non_finite_g_derivatives_is_step_error():
     with pytest.raises(StepError, match="not finite") as err:
         integrate(prob.u0, StepperConfig(tau=0.1, k=2), space, nl, T=0.2)
     assert err.value.failed_slab == 1
+    assert err.value.increment_history == [np.inf]   # the one step, which raised
 
 
 def _loop_layout_reference(N, du, G1, X2, Y2, alpha, R, denoms, k, n):
@@ -648,8 +707,9 @@ def test_real_form_layout_matches_blockwise_loops(k, bc):
     state = SavState(u=rng.standard_normal(n) + 1j * rng.standard_normal(n), r=1.3, t=0.0)
     unk = SlabUnknowns(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)),
                        1.0 + 0.2 * rng.standard_normal(k))
-    data = _stage_data(state, unk, asm, scheme, nl, tau, need_jacobian=True)
-    system = _assemble_newton_system(unk, asm, scheme, tau, data)
+    slab = make_slab(asm, scheme, nl, tau)
+    data = _stage_data(slab, state, unk, need_jacobian=True)
+    system = _assemble_newton_system(slab, unk, data)
     res_u = data["res_u"]
     alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
     B, C = _loop_layout_reference(data["N"], data["du"], data["G1"], data["X2"],
@@ -730,8 +790,9 @@ def test_fixed_layout_assembly_matches_coo_and_bmat(p, k, bc, M, monkeypatch):
     state = SavState(u=rng.standard_normal(n) + 1j * rng.standard_normal(n), r=1.3, t=0.0)
     unk = SlabUnknowns(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)),
                        1.0 + 0.2 * rng.standard_normal(k))
-    data = _stage_data(state, unk, asm, scheme, nl, tau, need_jacobian=True)
-    system = _assemble_newton_system(unk, asm, scheme, tau, data)
+    slab = make_slab(asm, scheme, nl, tau)
+    data = _stage_data(slab, state, unk, need_jacobian=True)
+    system = _assemble_newton_system(slab, unk, data)
 
     assert len(scattered) == 2 + 3 * k   # mass, stiffness, then G1, X2, Y2 per stage
     ref = [_coo_scatter_reference(space, local) for local, _ in scattered]
@@ -789,16 +850,15 @@ def test_real_operators_give_the_bits_of_complex_copies(p, bc):
     assert np.array_equal(diagnostics.sav_energy(asm, state),
                           float(0.5 * np.real(np.vdot(u, stiff_c @ u)) - state.r ** 2))
 
-    du, lin = stepper._linear_residual(state, u_stages, asm, scheme, tau)
+    slab = make_slab(asm, scheme, nl, tau)
+    du, lin = stepper._linear_residual(slab, state, u_stages)
     assert np.array_equal(lin, (1j * (mass_c @ du.T) + stiff_c @ u_stages.T).T)
 
-    constant = SlabUnknowns(np.tile(u, (k, 1)), np.full(k, state.r))
-    stepper._advance_linear(state, constant, StepperConfig(tau=tau, k=k), asm, scheme)
     alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
     block = sp.bmat([[1j * alpha[j, m] * mass_c + stiff_c if j == m
                       else 1j * alpha[j, m] * mass_c for m in range(k)] for j in range(k)],
                     format="csc")
-    _assert_same_sparse(asm.cache["linear", tau, k], block)
+    _assert_same_sparse(slab.linear_block, block)
 
     delta_u, delta_r = cplx(k, n), rng.standard_normal(k)
     l2 = [np.sqrt(d.real @ (mass_real @ d.real) + d.imag @ (mass_real @ d.imag))
