@@ -195,7 +195,7 @@ def temporal_ritz_project(fn, k, slab, dfn):
         raise ConfigurationError(f"degenerate slab [{t0}, {t1}]")
     quad = gauss_rule(min(k + 2, MAX_ORDER))
     t_quad = t0 + 0.5 * tau * (1.0 + quad.nodes)
-    du = np.array([dfn(t) for t in t_quad])
+    du = dfn(t_quad)
     # a_j = int L_j fn' dt / int L_j^2 dt, with int L_j^2 dt = tau / (2j+1)
     coeffs = [(2 * j + 1) / 2.0 * np.sum(quad.weights * legendre_value(j, quad.nodes) * du)
               for j in range(k)]
@@ -208,7 +208,5 @@ def temporal_ritz_project(fn, k, slab, dfn):
             return sigma + 1.0
         return (legendre_value(j + 1, sigma) - legendre_value(j - 1, sigma)) / (2 * j + 1)
 
-    u0 = fn(t0)
-    values = np.array([u0 + 0.5 * tau * sum(a * antideriv(j, s) for j, a in enumerate(coeffs))
-                       for s in scheme_nodes])
+    values = fn(t0) + 0.5 * tau * sum(a * antideriv(j, scheme_nodes) for j, a in enumerate(coeffs))
     return SlabPolynomial(values=values, slab=slab, nodes=scheme_nodes)

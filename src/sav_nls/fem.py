@@ -173,8 +173,9 @@ def assemble_stiffness(space, pattern):
 
 
 def interpolate(space, fn):
-    """Nodal interpolant of fn; Dirichlet boundary values are implicitly zero."""
-    vals = np.asarray([fn(x) for x in space.dof_coords], dtype=np.complex128)
+    """Nodal interpolant of fn, called once on the array of dof coordinates (a constant
+    may return a scalar); Dirichlet boundary values are implicitly zero."""
+    vals = np.full(space.num_dofs, fn(space.dof_coords), dtype=np.complex128)
     bad = ~np.isfinite(vals)
     if np.any(bad):
         x = space.dof_coords[np.argmax(bad)]

@@ -9,16 +9,17 @@ differentiation matrix.  Stage equations, for j = 1..k:
     dr_j - Re<N(U_j), du_j> / 2   = 0
 
 with du/dr the polynomial time derivatives at the Gauss points and N(U) the
-quadrature load vector of g(U) U.  The Newton Jacobian is exact: the
-pointwise g1/g2 part, whose conjugate-carrying g2 term is assembled over real
-and imaginary parts, plus the rank-one derivative of each stage's SAV
-denominator d_j, folded into the border rows by solving for
-z_j = dR_j - R_j sigma_j / (2 d_j) with sigma_j = Re<N_j, dU_j>.  The Jacobian
-is written straight into LAPACK band storage, with dof 0's unknowns in the
-border, and its solve is checked with the Jacobian applied in stage form.  A
-nearly converged exact step is followed by a chord step with its factorization
-(see advance).  The linear (kappa = 0) problem short-circuits to one complex solve.
-Every slab of a run solves with one Slab, which builds the main-block data once.
+quadrature load vector of g(U) U.  The Newton Jacobian is exact: the pointwise
+g1/g2 part, whose conjugate-carrying g2 term is assembled over real and imaginary
+parts, plus the rank-one derivative of each stage's SAV denominator d_j, folded
+into the border rows by solving for z_j = dR_j - R_j sigma_j / (2 d_j) with
+sigma_j = Re<N_j, dU_j>.  Its real unknowns are u_stages.T viewed as float64,
+(dof, 2j + s); it is written straight into LAPACK band storage, with dof 0's
+unknowns in the border, and its solve is checked with the Jacobian applied in
+stage form.  A nearly converged exact step is followed by a chord step with its
+factorization (see advance).  The linear (kappa = 0) problem short-circuits to one
+complex solve.  Every slab of a run solves with one Slab, which builds the
+main-block data once.
 """
 
 import numbers
@@ -86,6 +87,10 @@ class Slab:
     asm: Assemblies
     scheme: object   # collocation.CollocationScheme of order cfg.k
     nl: object       # model.Nonlinearity
+
+    def __post_init__(self):
+        if (order := len(self.scheme.rule.nodes)) != self.cfg.k:
+            raise ConfigurationError(f"collocation scheme of order {order} for k={self.cfg.k}")
 
     @cached_property
     def band_slots(self):
@@ -198,28 +203,23 @@ def _residual_norm(res_u, res_r):
     return float(max(np.linalg.norm(res_u, axis=1).max(), np.abs(res_r).max()))
 
 
-def _real_parts(vectors):
-    """Stack (k, n) complex stage vectors as [Re_1, Im_1, Re_2, Im_2, ...]."""
-    return np.stack([vectors.real, vectors.imag], axis=1).reshape(-1)
-
-
-def _split_dof0(parts):
-    """Real stage parts (..., 2k, n), indexed [2j + s, dof], as the Newton system
-    numbers them: the band unknowns of dofs 1..n-1, dof-major (d - 1) 2k + 2j + s,
-    and the 2k unknowns of dof 0, which are in the border."""
-    return parts[..., 1:].swapaxes(-1, -2).reshape(*parts.shape[:-2], -1), parts[..., 0]
+def _split_dof0(vectors):
+    """(k, n) complex stage vectors as the Newton system numbers their real parts: the
+    (n, 2k) float64 view of vectors.T, column 2j + s, whose rows 1..n-1 are the band's
+    unknowns (d - 1) 2k + 2j + s and whose row 0 holds dof 0's, which are in the border."""
+    parts = np.ascontiguousarray(vectors.T).view(np.float64)
+    return parts[1:].ravel(), parts[0]
 
 
 def _stage_vectors(x_band, x_dof0):
-    """Inverse of _split_dof0 on _real_parts: (k, n) complex stage vectors."""
-    parts = np.column_stack([x_dof0, x_band.reshape(-1, len(x_dof0)).T])
-    parts = parts.reshape(len(x_dof0) // 2, 2, -1)
-    return parts[:, 0] + 1j * parts[:, 1]
+    """Inverse of _split_dof0: (k, n) complex stage vectors."""
+    parts = np.concatenate([x_dof0, x_band]).view(np.complex128)
+    return np.ascontiguousarray(parts.reshape(-1, len(x_dof0) // 2).T)
 
 
 def _newton_rhs(data):
     """(rhs_main, rhs_border) of the Newton system: minus the collocation residual."""
-    band, dof0 = _split_dof0(_real_parts(-data["res_u"]).reshape(2 * len(data["res_u"]), -1))
+    band, dof0 = _split_dof0(-data["res_u"])
     return band, np.concatenate([dof0, -data["res_r"]])
 
 
@@ -228,7 +228,8 @@ def _assemble_newton_system(slab, unknowns, data):
     the unknowns (dU, z) with z = dR - R sigma / (2 d); see the module docstring.
     The main block is the band of the unknowns of dofs 1..n-1; dof 0's 2k unknowns
     join the k of z in the border: B' = [K_io, B], C' = [[K_oi], [C]] and
-    Dmat' = [[K_oo, B_o], [C_o, Dmat]], with _i and _o the band and dof 0 parts."""
+    Dmat' = [[K_oo, B_o], [C_o, Dmat]], with _i and _o the band and dof 0 parts.
+    B'^T and C' are written as (3k, n, 2k) arrays, numbered as _split_dof0's unknowns."""
     R, asm = unknowns.r_stages, slab.asm
     n, k = asm.space.num_dofs, len(R)
     Md, Ad = asm.mass.data, asm.stiff.data
@@ -238,28 +239,27 @@ def _assemble_newton_system(slab, unknowns, data):
     width, base, (col0, col0_r), (row0, row0_c) = slab.band_slots
     ld, ni = 3 * width + 1, 2 * k * (n - 1)
     flat = np.zeros(ld * (ni + 2 * k))
-    # B'^T and C' before _split_dof0, their unknowns as (stage, re/im, dof): [., 2j + s, dof]
-    Bt, Ct = np.zeros((3 * k, 2 * k, n)), np.zeros((3 * k, 2 * k, n))
+    Bt, Ct = np.zeros((3 * k, n, 2 * k)), np.zeros((3 * k, n, 2 * k))
 
     def put(a, b, values):   # block (a, b) of the real form, on asm.pattern
         flat[b * ld + a - b:][base] = values   # at base + b ld + a - b, with no index sum
-        Bt[b, a, col0_r] = values[col0]
-        Ct[a, b, row0_c] = values[row0]
+        Bt[b, col0_r, a] = values[col0]
+        Ct[a, row0_c, b] = values[row0]
 
-    N_parts = _real_parts(N).reshape(k, 2, n)
+    N_parts = np.stack([N.real, N.imag], -1)   # (k, n, 2)
     stages = np.arange(k)
-    Bt[2 * k:].reshape(k, k, 2, n)[stages, stages] = -N_parts
+    Bt[2 * k:].reshape(k, n, k, 2)[stages, :, stages] = -N_parts
 
     # with dR = z + R sigma / (2 d), B's column -N_j times z_j carries the denominator's
     # term R_j N_j sigma_j / (2 d_j) of the u rows; border row j gains lift[j, m] sigma_m
     lift = alpha * (R / (2.0 * data["denoms"])) + np.diag(
         0.25 * np.real(np.einsum("ki,ki->k", N, du.conj())) / data["denoms"])
-    C = ((-0.5 * alpha)[:, :, None, None] * N_parts[:, None]
-         + lift[:, :, None, None] * N_parts[None])
+    C = ((-0.5 * alpha)[:, None, :, None] * N_parts[:, :, None]   # [j, dof, m, s]
+         + lift[:, None, :, None] * N_parts.swapaxes(0, 1)[None])
     for j in range(k):
         re_du, im_du = du[j].real, du[j].imag
-        C[j, j, 0] += -0.5 * (G1[j] @ re_du + X2[j] @ re_du + Y2[j] @ im_du)
-        C[j, j, 1] += -0.5 * (G1[j] @ im_du + Y2[j] @ re_du - X2[j] @ im_du)
+        C[j, :, j, 0] += -0.5 * (G1[j] @ re_du + X2[j] @ re_du + Y2[j] @ im_du)
+        C[j, :, j, 1] += -0.5 * (G1[j] @ im_du + Y2[j] @ re_du - X2[j] @ im_du)
         put(2 * j, 2 * j, Ad - R[j] * (G1[j].data + X2[j].data))
         put(2 * j + 1, 2 * j + 1, Ad - R[j] * (G1[j].data - X2[j].data))
         for m in range(k):
@@ -268,9 +268,9 @@ def _assemble_newton_system(slab, unknowns, data):
                 top, bottom = top - R[j] * Y2[j].data, bottom - R[j] * Y2[j].data
             put(2 * j, 2 * m + 1, top)
             put(2 * j + 1, 2 * m, bottom)
-    Ct[2 * k:] = C.reshape(k, 2 * k, n)
-    (B_band, B_dof0), (C_band, C_dof0) = _split_dof0(Bt), _split_dof0(Ct)
-    D_wide = np.block([[C_dof0[:2 * k], B_dof0[2 * k:].T], [C_dof0[2 * k:], alpha]])
+    Ct[2 * k:] = C.reshape(k, n, 2 * k)
+    B_band, C_band = [np.ascontiguousarray(T[:, 1:]).reshape(3 * k, -1) for T in (Bt, Ct)]
+    D_wide = np.block([[Ct[:2 * k, 0], Bt[2 * k:, 0].T], [Ct[2 * k:, 0], alpha]])
 
     def product(x_band, x_border):   # the system in stage form, reading neither the band
         # nor the wrap: i alpha M dU + A dU - R_j (G1_j dU + (X2_j + i Y2_j) conj dU) - N z
@@ -278,7 +278,7 @@ def _assemble_newton_system(slab, unknowns, data):
         rows = (1j * (asm.mass @ (alpha @ dU).T) + asm.stiff @ dU.T).T - z[:, None] * N
         for j, conj in enumerate(dU.conj()):
             rows[j] -= R[j] * (G1[j] @ dU[j] + X2[j] @ conj + 1j * (Y2[j] @ conj))
-        band, dof0 = _split_dof0(_real_parts(rows).reshape(2 * k, n))
+        band, dof0 = _split_dof0(rows)
         return band, np.concatenate([dof0, C_band[2 * k:] @ x_band + D_wide[2 * k:] @ x_border])
 
     rhs_main, rhs_border = _newton_rhs(data)

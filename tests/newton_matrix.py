@@ -1,7 +1,7 @@
-"""Helpers of the stepper tests: the Slab of a test's operators, and the full
-real-form Newton matrix, rebuilt from the band and border that
-stepper._assemble_newton_system writes, for tests that compare it with
-references assembled in other ways."""
+"""Helpers of the stepper tests: the Slab of a test's operators, the stage-major
+real parts of stage vectors, and the full real-form Newton matrix, rebuilt from
+the band and border that stepper._assemble_newton_system writes, for tests that
+compare it with references assembled in other ways."""
 
 import numpy as np
 
@@ -11,6 +11,11 @@ from sav_nls.stepper import Slab, StepperConfig
 def make_slab(asm, scheme, nl, tau, **options):
     """Slab(StepperConfig(tau, k, **options), asm, scheme, nl), with k the scheme's order."""
     return Slab(StepperConfig(tau=tau, k=len(scheme.rule.nodes), **options), asm, scheme, nl)
+
+
+def real_parts(vectors):
+    """(k, n) complex stage vectors stage-major, as [Re_1, Im_1, Re_2, Im_2, ...]."""
+    return np.stack([vectors.real, vectors.imag], axis=1).reshape(-1)
 
 
 def band_order(n, k):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sav_nls.collocation import (SlabPolynomial, collocation_scheme, gauss_rule,
+from sav_nls.collocation import (MAX_ORDER, SlabPolynomial, collocation_scheme, gauss_rule,
                                  legendre_value, shifted_legendre,
                                  temporal_l2_project, temporal_ritz_project)
 from sav_nls.errors import ConfigurationError
@@ -190,6 +190,41 @@ def test_ritz_projection_constant_and_endpoint():
     fn = np.sin
     proj = temporal_ritz_project(fn, 3, (0.7, 0.9), dfn=np.cos)
     assert proj.values[0] == fn(0.7)
+
+
+def _per_point_ritz_reference(fn, k, slab, dfn):
+    """temporal_ritz_project as it sampled before: dfn and the nodal sums one point at a time."""
+    t0, t1 = slab
+    tau = t1 - t0
+    quad = gauss_rule(min(k + 2, MAX_ORDER))
+    du = np.array([dfn(t) for t in t0 + 0.5 * tau * (1.0 + quad.nodes)])
+    coeffs = [(2 * j + 1) / 2.0 * np.sum(quad.weights * legendre_value(j, quad.nodes) * du)
+              for j in range(k)]
+
+    def antideriv(j, sigma):
+        if j == 0:
+            return sigma + 1.0
+        return (legendre_value(j + 1, sigma) - legendre_value(j - 1, sigma)) / (2 * j + 1)
+
+    u0 = fn(t0)
+    return np.array([u0 + 0.5 * tau * sum(a * antideriv(j, s) for j, a in enumerate(coeffs))
+                     for s in collocation_scheme(k).nodes])
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_ritz_projection_samples_once_with_the_bits_of_per_point_calls(k):
+    poly = np.polynomial.Polynomial([0.3, -1.2, 0.7, 2.1])
+    for fn, dfn in ((np.sin, np.cos), (np.exp, np.exp), (poly, poly.deriv())):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return dfn(t)
+
+        slab = (0.7, 0.83)
+        proj = temporal_ritz_project(fn, k, slab, dfn=counted)
+        assert len(calls) == 1 and np.shape(calls[0]) == (min(k + 2, MAX_ORDER),)
+        assert np.array_equal(proj.values, _per_point_ritz_reference(fn, k, slab, dfn))
 
 
 def test_ritz_projection_defining_orthogonality():

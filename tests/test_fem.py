@@ -7,6 +7,7 @@ from sav_nls.fem import (DIRICHLET, PERIODIC, assemble_mass, assemble_stiffness,
                          basis_tables, build_space, element_coefficients, error_norms,
                          evaluate, interpolate, matrix_pattern, reference_nodes,
                          reference_quadrature)
+from sav_nls.problems import plane_wave, soliton
 
 
 def sech(x):
@@ -151,7 +152,35 @@ def test_interpolate_soliton_profile_at_origin():
 def test_interpolate_rejects_non_finite():
     space = build_space(0.0, 1.0, 4, 1, PERIODIC)
     with pytest.raises(InputError, match="0.25"):
-        interpolate(space, lambda x: np.nan if x == 0.25 else 1.0)
+        interpolate(space, lambda x: np.where(x == 0.25, np.nan, 1.0))
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_interpolate_samples_once_with_the_bits_of_per_dof_calls(p, bc):
+    # one call on the dof coordinates must give the bits of one call per dof, the
+    # sampling interpolate did before, on the benchmark problems' initial data
+    for prob in (soliton(), plane_wave(kappa=1.0, a=-1.0, b=2.0)):
+        space = build_space(prob.a, prob.b, 37, p, bc)
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return prob.u0(x)
+
+        coeffs = interpolate(space, fn)
+        assert len(calls) == 1 and np.array_equal(calls[0], space.dof_coords)
+        reference = np.asarray([prob.u0(x) for x in space.dof_coords], dtype=np.complex128)
+        assert coeffs.dtype == np.complex128
+        assert np.array_equal(coeffs.view(np.float64), reference.view(np.float64))
+
+
+def test_interpolate_broadcasts_a_constant():
+    space = build_space(0.0, 1.0, 5, 3, DIRICHLET)
+    coeffs = interpolate(space, lambda x: 1.5 - 2.0j)
+    assert coeffs.shape == (space.num_dofs,) and coeffs.dtype == np.complex128
+    assert np.all(coeffs == 1.5 - 2.0j)
+    coeffs[0] = 0.0   # an array of its own, not a read-only broadcast view
 
 
 def test_periodic_translation_equivariance():
@@ -162,7 +191,7 @@ def test_periodic_translation_equivariance():
     L = b - a
     rng = np.random.default_rng(5)
     table = rng.standard_normal(64)
-    fn = lambda x: table[int(round((x - a) / (L / 64))) % 64]
+    fn = lambda x: table[np.rint((x - a) / (L / 64)).astype(int) % 64]
     shifted = lambda x: fn(a + (x - a + h) % L)
     c1 = interpolate(space, fn)
     c2 = interpolate(space, shifted)

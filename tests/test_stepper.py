@@ -17,11 +17,11 @@ from sav_nls.fem import DIRICHLET, PERIODIC, build_space, interpolate
 from sav_nls.model import Nonlinearity, SavState, power_law, r_init
 from sav_nls.problems import soliton
 from sav_nls.stepper import (Assemblies, Slab, SlabUnknowns, StepperConfig,
-                             _assemble_newton_system, _real_parts, _split_dof0, _stage_data,
+                             _assemble_newton_system, _split_dof0, _stage_data,
                              _stage_vectors, advance, integrate, newton_step, num_slabs,
                              residual)
 
-from newton_matrix import band_order, make_slab, real_form_matrix, to_stage_order
+from newton_matrix import band_order, make_slab, real_form_matrix, real_parts, to_stage_order
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -59,6 +59,18 @@ def test_config_validation():
     for k in (0, 9):
         with pytest.raises(ConfigurationError, match=rf"gauss rule order k={k} outside \[1, 8\]"):
             StepperConfig(tau=0.1, k=k)
+
+
+def test_slab_rejects_a_scheme_of_another_order():
+    # a scheme whose order is not cfg.k is a ConfigurationError when the Slab is built,
+    # not a numpy shape error inside the first slab's matmul
+    space = build_space(-20.0, 20.0, 20, 1, PERIODIC)
+    asm, nl = Assemblies.build(space), power_law(2.0, 3.0, c0=1.0)
+    with pytest.raises(ConfigurationError, match="collocation scheme of order 2 for k=3"):
+        Slab(StepperConfig(tau=0.1, k=3), asm, collocation_scheme(2), nl)
+    slab = Slab(StepperConfig(tau=0.1, k=2), asm, collocation_scheme(2), nl)
+    u0 = interpolate(space, soliton().u0)
+    advance(slab, SavState(u=u0, r=r_init(asm, u0, nl), t=0.0))
 
 
 def test_residual_zero_state_is_zero():
@@ -720,9 +732,9 @@ def test_real_form_layout_matches_blockwise_loops(k, bc):
     assert np.array_equal(to_stage_order(system.rhs_main, system.rhs_border),
                           np.concatenate([-_loop_real_parts(res_u), -data["res_r"]]))
     v = unk.u_stages
-    assert np.array_equal(_real_parts(v), _loop_real_parts(v))
+    assert np.array_equal(real_parts(v), _loop_real_parts(v))
     x = _loop_real_parts(v)
-    x_band, x_dof0 = _split_dof0(_real_parts(v).reshape(2 * k, n))
+    x_band, x_dof0 = _split_dof0(v)
     assert np.array_equal(np.concatenate([x_band, x_dof0]), x[band_order(n, k)[:2 * k * n]])
     assert np.array_equal(_stage_vectors(x_band, x_dof0), _loop_complex_parts(x, k, n))
     assert np.array_equal(_stage_vectors(x_band, x_dof0), v)
