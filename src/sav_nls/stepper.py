@@ -254,9 +254,9 @@ def _assemble_newton_system(slab, unknowns, data):
     # term R_j N_j sigma_j / (2 d_j) of the u rows; border row j gains lift[j, m] sigma_m
     lift = alpha * (R / (2.0 * data["denoms"])) + np.diag(
         0.25 * np.real(np.einsum("ki,ki->k", N, du.conj())) / data["denoms"])
-    C = ((-0.5 * alpha)[:, None, :, None] * N_parts[:, :, None]   # [j, dof, m, s]
-         + lift[:, None, :, None] * N_parts.swapaxes(0, 1)[None])
+    C = Ct[2 * k:].reshape(k, n, k, 2)   # C in the storage of C', as [j, dof, m, s]
     for j in range(k):
+        C[:, :, j] = -0.5 * alpha[:, j, None, None] * N_parts + lift[:, j, None, None] * N_parts[j]
         re_du, im_du = du[j].real, du[j].imag
         C[j, :, j, 0] += -0.5 * (G1[j] @ re_du + X2[j] @ re_du + Y2[j] @ im_du)
         C[j, :, j, 1] += -0.5 * (G1[j] @ im_du + Y2[j] @ re_du - X2[j] @ im_du)
@@ -268,7 +268,6 @@ def _assemble_newton_system(slab, unknowns, data):
                 top, bottom = top - R[j] * Y2[j].data, bottom - R[j] * Y2[j].data
             put(2 * j, 2 * m + 1, top)
             put(2 * j + 1, 2 * m, bottom)
-    Ct[2 * k:] = C.reshape(k, n, 2 * k)
     B_band, C_band = [np.ascontiguousarray(T[:, 1:]).reshape(3 * k, -1) for T in (Bt, Ct)]
     D_wide = np.block([[Ct[:2 * k, 0], Bt[2 * k:, 0].T], [Ct[2 * k:, 0], alpha]])
 
