@@ -8,18 +8,17 @@ differentiation matrix.  Stage equations, for j = 1..k:
     i M du_j + A U_j - R_j N(U_j) = 0
     dr_j - Re<N(U_j), du_j> / 2   = 0
 
-with du/dr the polynomial time derivatives at the Gauss points and N(U) the
-quadrature load vector of g(U) U.  The Newton Jacobian is exact: the pointwise
-g1/g2 part, whose conjugate-carrying g2 term is assembled over real and imaginary
-parts, plus the rank-one derivative of each stage's SAV denominator d_j, folded
-into the border rows by solving for z_j = dR_j - R_j sigma_j / (2 d_j) with
-sigma_j = Re<N_j, dU_j>.  Its real unknowns are u_stages.T viewed as float64,
-(dof, 2j + s); it is written straight into LAPACK band storage, with dof 0's
-unknowns in the border, and its solve is checked with the Jacobian applied in
-stage form.  A nearly converged exact step is followed by a chord step with its
-factorization (see advance).  The linear (kappa = 0) problem short-circuits to one
-complex solve.  Every slab of a run solves with one Slab, which builds the
-main-block data once.
+with du/dr the polynomial time derivatives at the Gauss points and N(U) the quadrature
+load vector of g(U) U.  The Newton Jacobian is exact: the pointwise part
+G1 dU + (X2 + i Y2) conj dU of the derivatives g1, g2 of g(U) U, plus the rank-one
+derivative of each stage's SAV denominator d_j, folded into the border rows by solving for
+z_j = dR_j - R_j sigma_j / (2 d_j) with sigma_j = Re<N_j, dU_j>.  One quadrature kernel,
+_integrals, gives N, the element data of G1, X2, Y2 and the pointwise part's products.
+The real unknowns are u_stages.T viewed as float64, (dof, 2j + s); the Jacobian is written
+straight into LAPACK band storage, dof 0's unknowns in the border, and its solve is checked
+by applying it in stage form, the pointwise part by quadrature.  A nearly converged exact
+step is followed by a chord step with its factorization (see advance).  The linear
+(kappa = 0) problem short-circuits to one complex solve; all slabs of a run share one Slab.
 """
 
 import numbers
@@ -34,7 +33,7 @@ from .errors import ConfigurationError, ModelError, NumericalError, StepError
 from .fem import (assemble_mass, assemble_stiffness, basis_tables, element_coefficients,
                   interpolate, matrix_pattern, scatter_matrix, scatter_vector)
 from .linsolve import Band, BorderedSystem, factor, solve_bordered
-from .model import SavState, g_derivatives, r_init
+from .model import SavState, g_derivatives, g_times_u, r_init
 
 
 @dataclass(frozen=True)
@@ -155,41 +154,38 @@ def _linear_residual(slab, state, u_stages):
     return du, (1j * (slab.asm.mass @ du.T) + slab.asm.stiff @ u_stages.T).T
 
 
-def _stage_data(slab, state, unknowns, need_jacobian):
-    """All per-stage quantities for the residual and (optionally) the Jacobian."""
-    asm, nl = slab.asm, slab.nl
-    space, k = asm.space, len(unknowns.r_stages)
-    h = space.mesh.h
-    du, lin = _linear_residual(slab, state, unknowns.u_stages)
-    nodal_r = np.concatenate([[state.r], unknowns.r_stages])
-    dr = (2.0 / slab.cfg.tau) * (slab.scheme.diff_matrix @ nodal_r)   # (k,)
+def _integrals(asm, values, matrices=False):
+    """FE data of pointwise stage values (k, M, nq) on asm's quadrature grid: load vectors
+    int values phi_i dx (k, n), or with `matrices` the CSR data (k, nnz) on asm.pattern of
+    int values phi_l phi_n dx, one stage at a time (a (k, M, (p+1)^2) batch costs RSS)."""
+    wh_phi = asm.space.mesh.h * asm.quad_wts[:, None] * asm.phi   # (nq, p+1)
+    if not matrices:
+        return scatter_vector(asm.space, values @ wh_phi)
+    table = wh_phi[:, :, None] * asm.phi[:, None, :]   # (nq, p+1, p+1)
+    return np.stack([scatter_matrix(asm.pattern, np.tensordot(v, table, 1)).data for v in values])
 
-    u_q = element_coefficients(space, unknowns.u_stages) @ asm.phi.T   # (k, M, nq)
-    s_q = np.abs(u_q) ** 2
-    radicands = 0.5 * h * np.einsum("kmq,q->k", nl.F(s_q), asm.quad_wts) + nl.c0
+
+def _stage_data(slab, state, unknowns, need_jacobian):
+    """All per-stage quantities for the residual and (optionally) the Jacobian, whose
+    pointwise part is kept as its values g = (g1, g2) on the quadrature grid."""
+    asm, nl = slab.asm, slab.nl
+    du, lin = _linear_residual(slab, state, unknowns.u_stages)
+    dr = (2.0 / slab.cfg.tau) * (slab.scheme.diff_matrix @ np.append(state.r, unknowns.r_stages))
+
+    u_q = element_coefficients(asm.space, unknowns.u_stages) @ asm.phi.T   # (k, M, nq)
+    F_q = nl.F(np.abs(u_q) ** 2)
+    radicands = 0.5 * asm.space.mesh.h * np.einsum("kmq,q->k", F_q, asm.quad_wts) + nl.c0
     if np.any(radicands <= 0):
         j = int(np.argmax(radicands <= 0))
         raise ModelError(f"SAV radicand {radicands[j]} nonpositive at stage {j + 1}")
     denoms = np.sqrt(radicands)
-
-    wh = h * asm.quad_wts                               # quadrature weights x jacobian
-    g_q = nl.f(s_q) / denoms[:, None, None]
-    loads = np.einsum("kmq,q,ql->kml", g_q * u_q, wh, asm.phi)
-    N = np.stack([scatter_vector(space, loads[j]) for j in range(k)])
-
+    N = _integrals(asm, g_times_u(u_q, denoms[:, None, None], nl))
     data = {"du": du, "denoms": denoms, "N": N,
             "res_u": lin - unknowns.r_stages[:, None] * N,
             "res_r": dr - 0.5 * np.real(np.einsum("ki,ki->k", N, du.conj()))}
     if need_jacobian:
-        g1_q, g2_q, clamped = g_derivatives(u_q, denoms[:, None, None], nl)
-        G1, X2, Y2 = [], [], []
-        for j in range(k):   # per stage, so that no temporary is k times larger
-            loc1 = np.einsum("mq,q,ql,qn->mln", g1_q[j].real, wh, asm.phi, asm.phi)
-            loc2 = np.einsum("mq,q,ql,qn->mln", g2_q[j], wh, asm.phi, asm.phi)
-            G1.append(scatter_matrix(asm.pattern, loc1))
-            X2.append(scatter_matrix(asm.pattern, loc2.real))
-            Y2.append(scatter_matrix(asm.pattern, loc2.imag))
-        data.update(G1=G1, X2=X2, Y2=Y2, clamped=clamped)
+        g1, g2, clamped = g_derivatives(u_q, denoms[:, None, None], nl)
+        data.update(g=(g1.real, g2), clamped=clamped)
     return data
 
 
@@ -234,19 +230,23 @@ def _assemble_newton_system(slab, unknowns, data):
     n, k = asm.space.num_dofs, len(R)
     Md, Ad = asm.mass.data, asm.stiff.data
     alpha = (2.0 / slab.cfg.tau) * slab.scheme.diff_matrix[:, 1:]   # (k, k), stage coupling
-    N, du = data["N"], data["du"]
-    G1, X2, Y2 = data["G1"], data["X2"], data["Y2"]
+    N, du, (g1, g2) = data["N"], data["du"], data["g"]
+    G1, X2, Y2 = (_integrals(asm, part, True) for part in (g1, g2.real, g2.imag))
     width, base, (col0, col0_r), (row0, row0_c) = slab.band_slots
     ld, ni = 3 * width + 1, 2 * k * (n - 1)
     flat = np.zeros(ld * (ni + 2 * k))
     Bt, Ct = np.zeros((3 * k, n, 2 * k)), np.zeros((3 * k, n, 2 * k))
+
+    def apply_g(v):   # G1_j v_j + (X2_j + i Y2_j) conj v_j of stage vectors v, by quadrature
+        v_q = element_coefficients(asm.space, v) @ asm.phi.T
+        return _integrals(asm, g1 * v_q + g2 * v_q.conj())
 
     def put(a, b, values):   # block (a, b) of the real form, on asm.pattern
         flat[b * ld + a - b:][base] = values   # at base + b ld + a - b, with no index sum
         Bt[b, col0_r, a] = values[col0]
         Ct[a, row0_c, b] = values[row0]
 
-    N_parts = np.stack([N.real, N.imag], -1)   # (k, n, 2)
+    N_parts, G_parts = (np.stack([v.real, v.imag], -1) for v in (N, apply_g(du)))   # (k, n, 2)
     stages = np.arange(k)
     Bt[2 * k:].reshape(k, n, k, 2)[stages, :, stages] = -N_parts
 
@@ -257,26 +257,23 @@ def _assemble_newton_system(slab, unknowns, data):
     C = Ct[2 * k:].reshape(k, n, k, 2)   # C in the storage of C', as [j, dof, m, s]
     for j in range(k):
         C[:, :, j] = -0.5 * alpha[:, j, None, None] * N_parts + lift[:, j, None, None] * N_parts[j]
-        re_du, im_du = du[j].real, du[j].imag
-        C[j, :, j, 0] += -0.5 * (G1[j] @ re_du + X2[j] @ re_du + Y2[j] @ im_du)
-        C[j, :, j, 1] += -0.5 * (G1[j] @ im_du + Y2[j] @ re_du - X2[j] @ im_du)
-        put(2 * j, 2 * j, Ad - R[j] * (G1[j].data + X2[j].data))
-        put(2 * j + 1, 2 * j + 1, Ad - R[j] * (G1[j].data - X2[j].data))
+        put(2 * j, 2 * j, Ad - R[j] * (G1[j] + X2[j]))
+        put(2 * j + 1, 2 * j + 1, Ad - R[j] * (G1[j] - X2[j]))
         for m in range(k):
             top, bottom = -alpha[j, m] * Md, alpha[j, m] * Md
             if m == j:
-                top, bottom = top - R[j] * Y2[j].data, bottom - R[j] * Y2[j].data
+                top, bottom = top - R[j] * Y2[j], bottom - R[j] * Y2[j]
             put(2 * j, 2 * m + 1, top)
             put(2 * j + 1, 2 * m, bottom)
+    C[stages, :, stages] -= 0.5 * G_parts
     B_band, C_band = [np.ascontiguousarray(T[:, 1:]).reshape(3 * k, -1) for T in (Bt, Ct)]
     D_wide = np.block([[Ct[:2 * k, 0], Bt[2 * k:, 0].T], [Ct[2 * k:, 0], alpha]])
 
-    def product(x_band, x_border):   # the system in stage form, reading neither the band
-        # nor the wrap: i alpha M dU + A dU - R_j (G1_j dU + (X2_j + i Y2_j) conj dU) - N z
+    def product(x_band, x_border):   # the system in stage form, reading neither the band, nor
+        # the wrap, nor G: i alpha M dU + A dU - R_j (G1_j dU + (X2_j + i Y2_j) conj dU) - N z
         dU, z = _stage_vectors(x_band, x_border[:2 * k]), x_border[2 * k:]
         rows = (1j * (asm.mass @ (alpha @ dU).T) + asm.stiff @ dU.T).T - z[:, None] * N
-        for j, conj in enumerate(dU.conj()):
-            rows[j] -= R[j] * (G1[j] @ dU[j] + X2[j] @ conj + 1j * (Y2[j] @ conj))
+        rows -= R[:, None] * apply_g(dU)
         band, dof0 = _split_dof0(rows)
         return band, np.concatenate([dof0, C_band[2 * k:] @ x_band + D_wide[2 * k:] @ x_border])
 

@@ -1,10 +1,12 @@
 """Helpers of the stepper tests: the Slab of a test's operators, the stage-major
-real parts of stage vectors, and the full real-form Newton matrix, rebuilt from
+real parts of stage vectors, the full real-form Newton matrix, rebuilt from
 the band and border that stepper._assemble_newton_system writes, for tests that
-compare it with references assembled in other ways."""
+compare it with references assembled in other ways, and the per-stage einsums and
+sparse matvecs that the stepper's quadrature kernel replaced, as its reference."""
 
 import numpy as np
 
+from sav_nls.fem import element_coefficients, scatter_matrix
 from sav_nls.stepper import Slab, StepperConfig
 
 
@@ -51,3 +53,36 @@ def to_stage_order(x_main, x_border):
     x = np.empty(len(x_main) + len(x_border))
     x[band_order(len(x_main) // (2 * k) + 1, k)] = np.concatenate([x_main, x_border])
     return x
+
+
+def stage_matrices(asm, g):
+    """[G1, X2, Y2], each a list of k CSR matrices int (g1, Re g2, Im g2) phi_l phi_n dx of
+    the pointwise values g = (g1, g2), (k, M, nq) each: one 4-operand einsum per stage and
+    part, as the stepper assembled them before its quadrature kernel."""
+    wh = asm.space.mesh.h * asm.quad_wts
+    mats = [[], [], []]
+    for g1, g2 in zip(*g):
+        loc1 = np.einsum("mq,q,ql,qn->mln", g1.real, wh, asm.phi, asm.phi)
+        loc2 = np.einsum("mq,q,ql,qn->mln", g2, wh, asm.phi, asm.phi)
+        for parts, local in zip(mats, (loc1, loc2.real, loc2.imag)):
+            parts.append(scatter_matrix(asm.pattern, local))
+    return mats
+
+
+def apply_g(G1, X2, Y2, v):
+    """G1_j v_j + (X2_j + i Y2_j) conj v_j of stage vectors v (k, n), by sparse matvecs."""
+    return np.stack([G1[j] @ v[j] + X2[j] @ v[j].conj() + 1j * (Y2[j] @ v[j].conj())
+                     for j in range(len(v))])
+
+
+def stage_loads(asm, nl, u_stages, denoms):
+    """N, the load vectors int f(|U_j|^2) U_j / d_j phi_i dx, as the stepper computed them
+    before its quadrature kernel: an einsum, and an unbuffered sum over the elements."""
+    u_q = element_coefficients(asm.space, u_stages) @ asm.phi.T
+    g_q = nl.f(np.abs(u_q) ** 2) / denoms[:, None, None]
+    loads = np.einsum("kmq,q,ql->kml", g_q * u_q, asm.space.mesh.h * asm.quad_wts, asm.phi)
+    dm = asm.space.dof_map
+    N = np.zeros((len(loads), asm.space.num_dofs), dtype=complex)
+    for stage, local in zip(N, loads):
+        np.add.at(stage, dm[dm >= 0], local[dm >= 0])
+    return N

@@ -5,11 +5,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from sav_nls import linsolve
+from sav_nls import linsolve, stepper
 from sav_nls.collocation import collocation_scheme
 from sav_nls.errors import SolverError
 from sav_nls.fem import (DIRICHLET, PERIODIC, assemble_mass, assemble_stiffness, build_space,
-                         matrix_pattern)
+                         matrix_pattern, scatter_matrix)
 from sav_nls.linsolve import RESIDUAL_TOL, BandLU, BorderedSystem, factor, solve_bordered
 from sav_nls.model import SavState, power_law
 from sav_nls.stepper import Assemblies, SlabUnknowns, _assemble_newton_system, _stage_data
@@ -243,6 +243,22 @@ def test_a_wrong_band_entry_fails_the_residual_check(monkeypatch):
         return factor(K)
 
     monkeypatch.setattr(linsolve, "factor", corrupting_factor)
+    with pytest.raises(SolverError, match="residual"):
+        solve_bordered(system)
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_wrong_element_matrix_fails_the_residual_check(k, bc, monkeypatch):
+    # the band takes the CSR data of the element matrices int g phi_l phi_n dx, while the
+    # check applies the Jacobian's pointwise part by quadrature on the values g themselves
+    def perturbed(pattern, local):
+        matrix = scatter_matrix(pattern, local)
+        matrix.data[len(matrix.data) // 2] += 1e-6 * np.abs(matrix.data).max()
+        return matrix
+
+    monkeypatch.setattr(stepper, "scatter_matrix", perturbed)
+    system = _newton_system(2, k, bc, 6, 20 + k)
     with pytest.raises(SolverError, match="residual"):
         solve_bordered(system)
 

@@ -13,15 +13,16 @@ from sav_nls.collocation import (SlabPolynomial, collocation_scheme, lagrange_ba
                                  temporal_l2_project)
 from sav_nls.diagnostics import InternalMassObserver, RunRecorder
 from sav_nls.errors import ConfigurationError, SolverError, StepError
-from sav_nls.fem import DIRICHLET, PERIODIC, build_space, interpolate
+from sav_nls.fem import DIRICHLET, PERIODIC, build_space, element_coefficients, interpolate
 from sav_nls.model import Nonlinearity, SavState, power_law, r_init
 from sav_nls.problems import soliton
 from sav_nls.stepper import (Assemblies, Slab, SlabUnknowns, StepperConfig,
-                             _assemble_newton_system, _split_dof0, _stage_data,
+                             _assemble_newton_system, _integrals, _split_dof0, _stage_data,
                              _stage_vectors, advance, integrate, newton_step, num_slabs,
                              residual)
 
-from newton_matrix import band_order, make_slab, real_form_matrix, real_parts, to_stage_order
+from newton_matrix import (apply_g, band_order, make_slab, real_form_matrix, real_parts,
+                           stage_loads, stage_matrices, to_stage_order)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -690,6 +691,19 @@ def _loop_layout_reference(N, du, G1, X2, Y2, alpha, R, denoms, k, n):
     return B, C
 
 
+def _assert_same_border_rows(got, want, k, n):
+    """C of the stage-major real form, against the loop reference: equal bit for bit but in
+    its G-part blocks (row j, stage j's 2n columns), where the quadrature kernel applies
+    G1_j + (X2_j + i Y2_j) conj to du_j and the reference multiplies CSR matrices; there
+    within 1e-13 of the block's largest entry."""
+    g_part = np.zeros(want.shape, dtype=bool)
+    for j in range(k):
+        g_part[j, 2 * j * n:2 * (j + 1) * n] = True
+        diff, block = got[j] - want[j], want[j, 2 * j * n:2 * (j + 1) * n]
+        assert np.abs(diff[2 * j * n:2 * (j + 1) * n]).max() <= 1e-13 * np.abs(block).max()
+    assert np.array_equal(got[~g_part], want[~g_part])
+
+
 def _loop_real_parts(vectors):
     k, n = vectors.shape
     out = np.empty(2 * k * n)
@@ -724,11 +738,11 @@ def test_real_form_layout_matches_blockwise_loops(k, bc):
     system = _assemble_newton_system(slab, unk, data)
     res_u = data["res_u"]
     alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
-    B, C = _loop_layout_reference(data["N"], data["du"], data["G1"], data["X2"],
-                                  data["Y2"], alpha, unk.r_stages, data["denoms"], k, n)
+    B, C = _loop_layout_reference(data["N"], data["du"], *stage_matrices(asm, data["g"]),
+                                  alpha, unk.r_stages, data["denoms"], k, n)
     full = real_form_matrix(system)
     assert np.array_equal(full[:2 * k * n, 2 * k * n:], B)
-    assert np.array_equal(full[2 * k * n:, :2 * k * n], C)
+    _assert_same_border_rows(full[2 * k * n:, :2 * k * n], C, k, n)
     assert np.array_equal(to_stage_order(system.rhs_main, system.rhs_border),
                           np.concatenate([-_loop_real_parts(res_u), -data["res_r"]]))
     v = unk.u_stages
@@ -806,16 +820,14 @@ def test_fixed_layout_assembly_matches_coo_and_bmat(p, k, bc, M, monkeypatch):
     data = _stage_data(slab, state, unk, need_jacobian=True)
     system = _assemble_newton_system(slab, unk, data)
 
-    assert len(scattered) == 2 + 3 * k   # mass, stiffness, then G1, X2, Y2 per stage
+    assert len(scattered) == 2 + 3 * k   # mass, stiffness, then the k stages of G1, X2, Y2
     ref = [_coo_scatter_reference(space, local) for local, _ in scattered]
     for r, (_, assembled) in zip(ref, scattered):
         _assert_same_sparse(assembled, r)
     mass, stiff = ref[:2]   # real: _assert_same_sparse compares dtypes too
     _assert_same_sparse(asm.mass, mass)
     _assert_same_sparse(asm.stiff, stiff)
-    G1, X2, Y2 = ref[2::3], ref[3::3], ref[4::3]
-    for got, want in zip(data["G1"] + data["X2"] + data["Y2"], G1 + X2 + Y2):
-        _assert_same_sparse(got, want)
+    G1, X2, Y2 = ref[2:2 + k], ref[2 + k:2 + 2 * k], ref[2 + 2 * k:]
 
     alpha = (2.0 / tau) * scheme.diff_matrix[:, 1:]
     K = _bmat_reference(mass, stiff, G1, X2, Y2, unk.r_stages, alpha, k)
@@ -824,8 +836,47 @@ def test_fixed_layout_assembly_matches_coo_and_bmat(p, k, bc, M, monkeypatch):
     B, C = _loop_layout_reference(data["N"], data["du"], G1, X2, Y2, alpha,
                                   unk.r_stages, data["denoms"], k, n)
     assert np.array_equal(full[:2 * k * n, 2 * k * n:], B)
-    assert np.array_equal(full[2 * k * n:, :2 * k * n], C)
+    _assert_same_border_rows(full[2 * k * n:, :2 * k * n], C, k, n)
     assert np.array_equal(full[2 * k * n:, 2 * k * n:], alpha)
+    assert np.array_equal(to_stage_order(system.rhs_main, system.rhs_border),
+                          np.concatenate([-_loop_real_parts(data["res_u"]), -data["res_r"]]))
+
+
+@pytest.mark.parametrize("M", [2, 5])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("p, q", [(1, 3.0), (2, 3.0), (3, 3.0), (4, 3.0), (2, 2.0)])
+def test_quadrature_kernel_matches_the_per_stage_einsums_and_matvecs(p, q, k, bc, M):
+    # the element data, the loads N and the pointwise apply of stepper._integrals against
+    # the per-stage einsums and CSR matvecs they replaced; q = 2 on a zero element clamps
+    space = build_space(-3.0, 3.0, M, p, bc)
+    asm = Assemblies.build(space)
+    nl = power_law(2.0, q, c0=1.0)
+    n = space.num_dofs
+    rng = np.random.default_rng(100 * p + 10 * k + M + (bc == DIRICHLET) + (q == 2.0))
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    unk = SlabUnknowns(cplx(k, n), 1.0 + 0.2 * rng.standard_normal(k))
+    if q == 2.0:
+        unk.u_stages[:, :p + 1] = 0.0   # all of element 0's coefficients, either bc
+    data = _stage_data(make_slab(asm, collocation_scheme(k), nl, 0.17),
+                       SavState(u=cplx(n), r=1.3, t=0.0), unk, need_jacobian=True)
+    assert (data["clamped"] >= k * (p + 2)) == (q == 2.0)   # nq = p + 2 points per element
+
+    def assert_close(got, want):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    assert_close(data["N"], stage_loads(asm, nl, unk.u_stages, data["denoms"]))
+    g1, g2 = data["g"]
+    G = stage_matrices(asm, data["g"])
+    for part, ref in zip((g1, g2.real, g2.imag), G):
+        assert_close(_integrals(asm, part, True), np.array([m.data for m in ref]))
+    v = cplx(k, n)
+    v_q = element_coefficients(space, v) @ asm.phi.T
+    assert_close(_integrals(asm, g1 * v_q + g2 * v_q.conj()), apply_g(*G, v))
 
 
 def _integrate_density_reference(space, v, F, nq):
