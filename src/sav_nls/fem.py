@@ -147,13 +147,13 @@ def scatter_matrix(pattern, local):
 
 
 def scatter_vector(space, local_loads):
-    """Accumulate stacked local load vectors (b, num_elements, p+1) into b global vectors."""
-    loads = np.asarray(local_loads, dtype=np.complex128).reshape(-1, space.dof_map.size)
-    n = space.num_dofs + 1   # bin n - 1 of each vector takes the constrained nodes (dof -1)
-    idx = (np.arange(len(loads))[:, None] * n + space.dof_map.ravel() % n).ravel()
-    real, imag = (np.bincount(idx, weights=part.ravel(), minlength=len(loads) * n)
-                  for part in (loads.real, loads.imag))
-    return (real + 1j * imag).reshape(-1, n)[:, :-1]
+    """Accumulate per-element (p+1,) local load vectors into a global vector."""
+    dm = space.dof_map.ravel()
+    keep = dm >= 0
+    idx = dm[keep]
+    vals = np.asarray(local_loads, dtype=np.complex128).reshape(-1)[keep]
+    return (np.bincount(idx, weights=vals.real, minlength=space.num_dofs)
+            + 1j * np.bincount(idx, weights=vals.imag, minlength=space.num_dofs))
 
 
 def assemble_mass(space, pattern):

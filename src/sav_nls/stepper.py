@@ -155,12 +155,12 @@ def _linear_residual(slab, state, u_stages):
 
 
 def _integrals(asm, values, matrices=False):
-    """FE data of pointwise stage values (k, M, nq) on asm's quadrature grid: load vectors
-    int values phi_i dx (k, n), or with `matrices` the CSR data (k, nnz) on asm.pattern of
-    int values phi_l phi_n dx, one stage at a time (a (k, M, (p+1)^2) batch costs RSS)."""
+    """FE data of pointwise values on asm's quadrature grid, taken stage by stage as (M, nq)
+    arrays (a batch over the stages raised peak RSS): the load vectors (k, n) of int values
+    phi_i dx, or with `matrices` the CSR data (k, nnz) of int values phi_l phi_n dx."""
     wh_phi = asm.space.mesh.h * asm.quad_wts[:, None] * asm.phi   # (nq, p+1)
     if not matrices:
-        return scatter_vector(asm.space, values @ wh_phi)
+        return np.stack([scatter_vector(asm.space, v @ wh_phi) for v in values])
     table = wh_phi[:, :, None] * asm.phi[:, None, :]   # (nq, p+1, p+1)
     return np.stack([scatter_matrix(asm.pattern, np.tensordot(v, table, 1)).data for v in values])
 
@@ -238,8 +238,8 @@ def _assemble_newton_system(slab, unknowns, data):
     Bt, Ct = np.zeros((3 * k, n, 2 * k)), np.zeros((3 * k, n, 2 * k))
 
     def apply_g(v):   # G1_j v_j + (X2_j + i Y2_j) conj v_j of stage vectors v, by quadrature
-        v_q = element_coefficients(asm.space, v) @ asm.phi.T
-        return _integrals(asm, g1 * v_q + g2 * v_q.conj())
+        v_q = (element_coefficients(asm.space, v_j) @ asm.phi.T for v_j in v)
+        return _integrals(asm, (a * q + b * q.conj() for a, b, q in zip(g1, g2, v_q)))
 
     def put(a, b, values):   # block (a, b) of the real form, on asm.pattern
         flat[b * ld + a - b:][base] = values   # at base + b ld + a - b, with no index sum

@@ -8,7 +8,7 @@ from sav_nls.errors import ConfigurationError, InputError
 from sav_nls.fem import (DIRICHLET, PERIODIC, assemble_mass, assemble_stiffness,
                          basis_tables, build_space, element_coefficients, error_norms,
                          evaluate, interpolate, matrix_pattern, reference_nodes,
-                         reference_quadrature, scatter_vector)
+                         reference_quadrature)
 from sav_nls.problems import plane_wave, soliton
 
 
@@ -166,24 +166,6 @@ def test_interpolate_rejects_initial_data_not_vectorized_in_x(fn):
     space = build_space(0.0, 1.0, 4, 2, PERIODIC)
     with pytest.raises(InputError, match="vectorized in x"):
         interpolate(space, fn)
-
-
-@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_scatter_vector_of_a_stack_has_the_bits_of_one_call_per_vector(p, bc):
-    # each set of local loads in a stack sums into its own vector in the order of
-    # the former one-vector scatter, kept here as the reference
-    space = build_space(-1.0, 2.0, 5, p, bc)
-    rng = np.random.default_rng(p)
-    loads = rng.standard_normal((3, 5, p + 1)) + 1j * rng.standard_normal((3, 5, p + 1))
-    got = scatter_vector(space, loads)
-    assert got.shape == (3, space.num_dofs)
-    dm = space.dof_map.ravel()
-    for vector, local in zip(got, loads):
-        vals = local.reshape(-1)[dm >= 0]
-        want = (np.bincount(dm[dm >= 0], weights=vals.real, minlength=space.num_dofs)
-                + 1j * np.bincount(dm[dm >= 0], weights=vals.imag, minlength=space.num_dofs))
-        assert np.array_equal(vector, want)
 
 
 @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
