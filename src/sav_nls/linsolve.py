@@ -65,16 +65,14 @@ def factor(K):
 
 @dataclass
 class BorderedSystem:
-    """K x + B y = rhs_main;  C x + Dmat y = rhs_border, with K a Band or a sparse
-    matrix.  `product`, when given, maps (x, y) to (K x + B y, C x + Dmat y) without
-    reading K or B; a Band K needs it, as its solve overwrites K and B (LU, W)."""
+    """The matrix of K x + B y = rhs_main;  C x + Dmat y = rhs_border, with K a Band or a
+    sparse matrix.  `product`, when given, maps (x, y) to (K x + B y, C x + Dmat y)
+    without reading K or B; a Band K needs it, as factoring it overwrites K and B (LU, W)."""
 
     K: object
     B: np.ndarray
     C: np.ndarray
     Dmat: np.ndarray
-    rhs_main: np.ndarray
-    rhs_border: np.ndarray
     product: object = None
 
 
@@ -82,42 +80,50 @@ class BorderedSolution(NamedTuple):
     x_main: np.ndarray
     x_border: np.ndarray
     residual: float
-    lu: object          # the factorization of K,
-    W: np.ndarray       # W = K^-1 B
-    S: np.ndarray       # and the Schur complement S = Dmat - C W
 
 
-def solve_bordered(system, factorization=None):
-    """Solve the bordered system by block elimination with a Schur complement.
+@dataclass(frozen=True)
+class BorderedLU:
+    """A BorderedSystem factored once, for any number of right-hand sides: the
+    factorization of K, W = K^-1 B, the Schur complement S = Dmat - C W, and the C and
+    product (x, y) -> (K x + B y, C x + Dmat y) of the system, which is spent if its K
+    is a Band."""
 
-    Solves K W = B and K y = rhs_main, forms S = Dmat - C W, solves
-    S x_border = rhs_border - C y and back-substitutes x_main = y - W x_border;
-    `factorization`, the (lu, W, S) of a solve with the same K, B, C and Dmat,
-    replaces factoring K, W and S.  The relative residual of the full system is
-    verified against RESIDUAL_TOL (a NaN fails it) and returned.
-    """
-    C = system.C
-    if factorization is None:
-        lu = factor(system.K)
-        W = lu.solve(system.B)
-        S = system.Dmat - C @ W
-    else:
-        lu, W, S = factorization
-    y = lu.solve(system.rhs_main.copy())   # rhs_main is kept for the residual
-    try:
-        x_border = np.linalg.solve(S, system.rhs_border - C @ y)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("singular Schur complement (degenerate r-coupling)") from exc
-    x_main = y - W @ x_border
+    lu: object
+    W: np.ndarray
+    S: np.ndarray
+    C: np.ndarray
+    product: object
 
-    if system.product is None:
-        main = system.K @ x_main + system.B @ x_border
-        border = C @ x_main + system.Dmat @ x_border
-    else:
-        main, border = system.product(x_main, x_border)
-    r_main, r_border = main - system.rhs_main, border - system.rhs_border
-    scale = max(np.linalg.norm(system.rhs_main) + np.linalg.norm(system.rhs_border), 1e-300)
-    residual = float(np.sqrt(np.linalg.norm(r_main) ** 2 + np.linalg.norm(r_border) ** 2) / scale)
-    if not residual <= RESIDUAL_TOL:
-        raise SolverError(f"bordered solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    return BorderedSolution(x_main, x_border, residual, lu, W, S)
+    def solve(self, rhs_main, rhs_border):
+        """Solve K y = rhs_main and S x_border = rhs_border - C y, and back-substitute
+        x_main = y - W x_border.  The relative residual of the full system, applied by
+        `product`, is verified against RESIDUAL_TOL (a NaN fails it) and returned."""
+        y = self.lu.solve(rhs_main.copy())   # rhs_main is kept for the residual
+        try:
+            x_border = np.linalg.solve(self.S, rhs_border - self.C @ y)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("singular Schur complement (degenerate r-coupling)") from exc
+        x_main = y - self.W @ x_border
+
+        main, border = self.product(x_main, x_border)
+        r_main, r_border = main - rhs_main, border - rhs_border
+        scale = max(np.linalg.norm(rhs_main) + np.linalg.norm(rhs_border), 1e-300)
+        residual = float(np.sqrt(np.linalg.norm(r_main) ** 2 + np.linalg.norm(r_border) ** 2)
+                         / scale)
+        if not residual <= RESIDUAL_TOL:
+            raise SolverError(f"bordered solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
+        return BorderedSolution(x_main, x_border, residual)
+
+
+solve_bordered = BorderedLU.solve   # solve_bordered(lu, rhs_main, rhs_border), the name stepper calls
+
+
+def factor_bordered(system):
+    """The BorderedLU of a BorderedSystem: K factored (in place if a Band) and W solved
+    (in B's storage if K is a Band)."""
+    K, B, C, Dmat = system.K, system.B, system.C, system.Dmat
+    lu = factor(K)
+    W = lu.solve(B)
+    product = system.product or (lambda x, y: (K @ x + B @ y, C @ x + Dmat @ y))
+    return BorderedLU(lu, W, Dmat - C @ W, C, product)

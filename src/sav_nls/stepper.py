@@ -22,7 +22,7 @@ step is followed by a chord step with its factorization (see advance).  The line
 """
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +32,7 @@ from .collocation import MAX_ORDER, collocation_scheme
 from .errors import ConfigurationError, ModelError, NumericalError, StepError
 from .fem import (assemble_mass, assemble_stiffness, basis_tables, element_coefficients,
                   interpolate, matrix_pattern, scatter_matrix, scatter_vector)
-from .linsolve import Band, BorderedSystem, factor, solve_bordered
+from .linsolve import Band, BorderedSystem, factor, factor_bordered, solve_bordered
 from .model import SavState, g_derivatives, g_times_u, r_init
 
 
@@ -220,7 +220,7 @@ def _newton_rhs(data):
 
 
 def _assemble_newton_system(slab, unknowns, data):
-    """Bordered real-form Jacobian and right-hand side at the current iterate, in
+    """Bordered real-form Jacobian at the current iterate, in
     the unknowns (dU, z) with z = dR - R sigma / (2 d); see the module docstring.
     The main block is the band of the unknowns of dofs 1..n-1; dof 0's 2k unknowns
     join the k of z in the border: B' = [K_io, B], C' = [[K_oi], [C]] and
@@ -277,10 +277,8 @@ def _assemble_newton_system(slab, unknowns, data):
         band, dof0 = _split_dof0(rows)
         return band, np.concatenate([dof0, C_band[2 * k:] @ x_band + D_wide[2 * k:] @ x_border])
 
-    rhs_main, rhs_border = _newton_rhs(data)
     return BorderedSystem(K=Band(flat[:ld * ni].reshape((ld, ni), order="F"), width),
-                          B=B_band.T, C=C_band, Dmat=D_wide, rhs_main=rhs_main,
-                          rhs_border=rhs_border, product=product)
+                          B=B_band.T, C=C_band, Dmat=D_wide, product=product)
 
 
 def _increment_norm(asm, delta_u, delta_r):
@@ -290,28 +288,39 @@ def _increment_norm(asm, delta_u, delta_r):
     return float(max(max(l2), np.abs(delta_r).max()))
 
 
-def newton_step(slab, state, unknowns, chord=None):
+@dataclass(frozen=True)
+class Linearization:
+    """An exact step's factored Newton system with the stage data (R, N, denoms) that
+    turn its solution (dU, z) into an increment; a chord step solves with it again."""
+
+    R: np.ndarray
+    N: np.ndarray
+    denoms: np.ndarray
+    factors: object   # linsolve.BorderedLU
+
+    def step(self, rhs_main, rhs_border):
+        """The increment (delta_u, delta_r) that solves the Newton system at this rhs."""
+        x_main, x_border, _ = solve_bordered(self.factors, rhs_main, rhs_border)
+        k = len(self.R)
+        delta_u = _stage_vectors(x_main, x_border[:-k])
+        sigma = np.real(np.einsum("ki,ki->k", self.N.conj(), delta_u))
+        return delta_u, x_border[-k:] + self.R / (2.0 * self.denoms) * sigma
+
+
+def newton_step(slab, state, unknowns, lin=None):
     """One Newton update; returns (unknowns, increment_norm, clamped_points, linearization).
-    Without `chord` the step is exact, and its linearization is the ((R, N, denoms),
-    system, (lu, W, S)) it factored.  Passed back as `chord`, that value makes a chord
-    step: the fresh residual is solved with it, with no assembly and no factorization."""
-    data = _stage_data(slab, state, unknowns, need_jacobian=chord is None)
+    Without `lin` the step is exact: it assembles and factors the Jacobian at `unknowns`
+    into the Linearization it returns.  With `lin` it is a chord step: the fresh residual
+    is solved with `lin`, with no assembly and no factorization, and `lin` is returned."""
+    data = _stage_data(slab, state, unknowns, need_jacobian=lin is None)
     # allocated before this step factors: a long-lived array above a factorization's
     # storage on glibc's brk heap pins it there (with SuperLU, peak RSS rose 5-20%)
     updated = SlabUnknowns(unknowns.u_stages.copy(), unknowns.r_stages.copy())
-    if chord is None:
-        system = _assemble_newton_system(slab, unknowns, data)
-        x_main, x_border, _, *factorization = solve_bordered(system)
-        lin = (unknowns.r_stages, data["N"], data["denoms"]), system, factorization
-    else:
-        _, system, factorization = lin = chord
-        rhs_main, rhs_border = _newton_rhs(data)
-        system = replace(system, rhs_main=rhs_main, rhs_border=rhs_border)
-        x_main, x_border = solve_bordered(system, factorization)[:2]
-    (R, N, denoms), _, _ = lin
-    delta_u = _stage_vectors(x_main, x_border[:-len(R)])
-    sigma = np.real(np.einsum("ki,ki->k", N.conj(), delta_u))
-    delta_r = x_border[-len(R):] + R / (2.0 * denoms) * sigma
+    rhs = _newton_rhs(data)
+    if lin is None:
+        lin = Linearization(unknowns.r_stages, data["N"], data["denoms"],
+                            factor_bordered(_assemble_newton_system(slab, unknowns, data)))
+    delta_u, delta_r = lin.step(*rhs)
     updated.u_stages += delta_u   # the bits of u + du
     updated.r_stages += delta_r
     inc = _increment_norm(slab.asm, delta_u, delta_r)
@@ -351,15 +360,16 @@ def advance(slab, state, previous=None):
             starts.insert(0, SlabUnknowns(E @ np.vstack([prev_state.u, stages.u_stages]),
                                           E @ np.append(prev_state.r, stages.r_stages)))
         for start in starts:
-            unknowns, chord, clamped = start, None, 0
+            unknowns, lin, clamped = start, None, 0
             try:
                 for _ in range(cfg.max_newton_iters):
                     history.append(np.inf)   # until the step returns: a step that raises counts
-                    factorizations += chord is None
-                    unknowns, e, step_clamped, lin = newton_step(slab, state, unknowns, chord)
+                    chord = lin is not None
+                    factorizations += not chord
+                    unknowns, e, step_clamped, lin = newton_step(slab, state, unknowns, lin)
                     history[-1], clamped = e, clamped + step_clamped
-                    chord = lin if chord is None and e ** 2 <= tol < e else None
-                    del lin   # the next exact step factors with no earlier factorization alive
+                    if chord or not e ** 2 <= tol < e:
+                        lin = None   # kept for one chord step; none is alive when one factors
                     if e <= tol:
                         break
                 else:

@@ -323,6 +323,30 @@ def test_every_slab_meets_the_residual_gate(config, overrides):
     assert worst <= 10 * cfg.newton_tol
 
 
+@pytest.mark.parametrize("config,overrides", [
+    ("configs/soliton_conservation.cfg", {"T": "0.6"}),
+    ("perfbench/cases/planewave_linear.cfg", {"T": "0.005"}),
+])
+def test_residual_final_is_the_residual_of_the_returned_stages(config, overrides):
+    # StepReport.residual_final of every slab, recomputed from the slab's start state
+    # and returned stages, on the nonlinear and the kappa = 0 path (whose r is held
+    # constant, so its SAV rows, roundoff of D applied to a constant, do not count;
+    # its norms run over a transposed array, in another summation order)
+    cfg = parse_config(str(ROOT / config), overrides)
+    prob, nl = build_problem(cfg)
+    space = build_space(cfg.a, cfg.b, cfg.M, cfg.p, cfg.bc)
+    scfg = StepperConfig(tau=cfg.tau, k=cfg.k, newton_tol=cfg.newton_tol)
+    log = _SlabLog()
+    summary = integrate(prob.u0, scfg, space, nl, cfg.T, observers=(log,))
+    slab = Slab(scfg, summary.assemblies, summary.scheme, nl)
+    assert len(log.slabs) == num_slabs(cfg.T, cfg.tau) > 0
+    for state, _, report in log.slabs:
+        res_u, res_r = residual(slab, state, report.stages)
+        recomputed = max(np.linalg.norm(res_u, axis=1).max(),
+                         0.0 if nl.is_linear else np.abs(res_r).max())
+        assert abs(report.residual_final - recomputed) <= 1e-12 * recomputed
+
+
 def test_newton_converges_quadratically():
     # the first 3 slabs of configs/soliton_conservation.cfg (M = 200, p = 3,
     # k = 3, tau = 0.2): once an increment e_n is below 1e-2, the next one is at
@@ -367,7 +391,8 @@ def test_confirming_newton_step_reuses_the_last_factorization(monkeypatch):
 
 def _log_bordered_solves(monkeypatch, fail_chord=False):
     """Route stepper.solve_bordered through a wrapper; returns the log of
-    (chord step?, factorizations so far) per solve.  With fail_chord the first
+    (chord step?, factorizations so far) per solve, a chord step's solve being one
+    with no factorization since the solve before it.  With fail_chord the first
     chord solve raises SolverError."""
     log, calls, fail = [], [], [True] if fail_chord else []
     factor, solve = linsolve.factor, stepper.solve_bordered
@@ -376,12 +401,12 @@ def _log_bordered_solves(monkeypatch, fail_chord=False):
         calls.append(1)
         return factor(K)
 
-    def logged_solve(system, factorization=None):
-        chord = factorization is not None
+    def logged_solve(factors, rhs_main, rhs_border):
+        chord = bool(log) and log[-1][1] == len(calls)
         if chord and fail:
             fail.clear()
             raise SolverError("chord solve failed")
-        solution = solve(system, factorization)
+        solution = solve(factors, rhs_main, rhs_border)
         log.append((chord, len(calls)))
         return solution
 
@@ -743,7 +768,7 @@ def test_real_form_layout_matches_blockwise_loops(k, bc):
     full = real_form_matrix(system)
     assert np.array_equal(full[:2 * k * n, 2 * k * n:], B)
     _assert_same_border_rows(full[2 * k * n:, :2 * k * n], C, k, n)
-    assert np.array_equal(to_stage_order(system.rhs_main, system.rhs_border),
+    assert np.array_equal(to_stage_order(*stepper._newton_rhs(data)),
                           np.concatenate([-_loop_real_parts(res_u), -data["res_r"]]))
     v = unk.u_stages
     assert np.array_equal(real_parts(v), _loop_real_parts(v))
@@ -838,7 +863,7 @@ def test_fixed_layout_assembly_matches_coo_and_bmat(p, k, bc, M, monkeypatch):
     assert np.array_equal(full[:2 * k * n, 2 * k * n:], B)
     _assert_same_border_rows(full[2 * k * n:, :2 * k * n], C, k, n)
     assert np.array_equal(full[2 * k * n:, 2 * k * n:], alpha)
-    assert np.array_equal(to_stage_order(system.rhs_main, system.rhs_border),
+    assert np.array_equal(to_stage_order(*stepper._newton_rhs(data)),
                           np.concatenate([-_loop_real_parts(data["res_u"]), -data["res_r"]]))
 
 
