@@ -14,11 +14,10 @@ from .errors import (ConfigurationError, InputError, ModelError,
 from .fem import (DIRICHLET, PERIODIC, FemSpace, Mesh1D, assemble_mass,
                   assemble_stiffness, build_space, error_norms, evaluate,
                   interpolate)
-from .linsolve import (BorderedLU, BorderedSolution, BorderedSystem, factor, factor_bordered,
-                       solve_bordered)
+from .linsolve import BorderedSolution, BorderedSystem, factor, factor_bordered, solve_bordered
 from .model import (Nonlinearity, SavState, g_derivatives, g_times_u,
                     power_law, r_init)
-from .stepper import (Assemblies, Slab, SlabUnknowns, StepReport, StepperConfig,
+from .stepper import (Assemblies, Carry, Slab, SlabUnknowns, StepReport, StepperConfig,
                       TrajectorySummary, advance, integrate, newton_step,
                       residual)
 

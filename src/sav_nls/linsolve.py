@@ -84,10 +84,8 @@ class BorderedSolution(NamedTuple):
 
 @dataclass(frozen=True)
 class BorderedLU:
-    """A BorderedSystem factored once, for any number of right-hand sides: the
-    factorization of K, W = K^-1 B, the Schur complement S = Dmat - C W, and the C and
-    product (x, y) -> (K x + B y, C x + Dmat y) of the system, which is spent if its K
-    is a Band."""
+    """A BorderedSystem factored once: the factorization of K, W = K^-1 B, the Schur
+    complement S = Dmat - C W, and the system's C and product, for any right-hand side."""
 
     lu: object
     W: np.ndarray
@@ -105,7 +103,6 @@ class BorderedLU:
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular Schur complement (degenerate r-coupling)") from exc
         x_main = y - self.W @ x_border
-
         main, border = self.product(x_main, x_border)
         r_main, r_border = main - rhs_main, border - rhs_border
         scale = max(np.linalg.norm(rhs_main) + np.linalg.norm(rhs_border), 1e-300)
@@ -116,12 +113,11 @@ class BorderedLU:
         return BorderedSolution(x_main, x_border, residual)
 
 
-solve_bordered = BorderedLU.solve   # solve_bordered(lu, rhs_main, rhs_border), the name stepper calls
+solve_bordered = BorderedLU.solve   # solve_bordered(lu, rhs_main, rhs_border): stepper's name
 
 
 def factor_bordered(system):
-    """The BorderedLU of a BorderedSystem: K factored (in place if a Band) and W solved
-    (in B's storage if K is a Band)."""
+    """The BorderedLU of a BorderedSystem, whose Band K and B become its LU and W."""
     K, B, C, Dmat = system.K, system.B, system.C, system.Dmat
     lu = factor(K)
     W = lu.solve(B)

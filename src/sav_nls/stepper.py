@@ -16,8 +16,8 @@ z_j = dR_j - R_j sigma_j / (2 d_j) with sigma_j = Re<N_j, dU_j>.  One quadrature
 _integrals, gives N, the element data of G1, X2, Y2 and the pointwise part's products.
 The real unknowns are u_stages.T viewed as float64, (dof, 2j + s); the Jacobian is written
 straight into LAPACK band storage, dof 0's unknowns in the border, and its solve is checked
-by applying it in stage form, the pointwise part by quadrature.  A nearly converged exact
-step is followed by a chord step with its factorization (see advance).  The linear
+by applying it in stage form, the pointwise part by quadrature.  An exact step's factored
+Jacobian serves the chord steps after it, across slabs (see advance).  The linear
 (kappa = 0) problem short-circuits to one complex solve; all slabs of a run share one Slab.
 """
 
@@ -34,6 +34,8 @@ from .fem import (assemble_mass, assemble_stiffness, basis_tables, element_coeff
                   interpolate, matrix_pattern, scatter_matrix, scatter_vector)
 from .linsolve import Band, BorderedSystem, factor, factor_bordered, solve_bordered
 from .model import SavState, g_derivatives, g_times_u, r_init
+
+THETA_MAX, KAPPA = 0.1, 1e-4   # a kept linearization's bound and Newton's stop; see advance
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,8 @@ class Slab:
         band storage of each pattern entry (r, c) in real-form block (0, 0); and the
         positions and r, c of the entries in dof 0's column and row.  Block (a, b) adds
         b ld + a - b (ld = 3w + 1) to the slot (c - 1) 2k ld + 2w + (r - c) 2k of band entry
-        ((r - 1) 2k + a, (c - 1) 2k + b); an entry of dof 0 lands in 2k columns past the band."""
+        ((r - 1) 2k + a, (c - 1) 2k + b); an entry of dof 0 lands in 2k columns past the band.
+        Last, that storage, which each exact step zeroes, fills and factors in place."""
         pattern, k = self.asm.pattern, self.cfg.k
         n = len(pattern.indptr) - 1
         r = np.repeat(np.arange(n), np.diff(pattern.indptr))
@@ -108,7 +111,7 @@ class Slab:
         base = np.where(inner, (c - 1) * 2 * k * ld + 2 * width + (r - c) * 2 * k,
                         ld * 2 * k * (n - 1))
         col0, row0 = np.flatnonzero(c == 0), np.flatnonzero(r == 0)
-        return width, base, (col0, r[col0]), (row0, c[row0])
+        return width, base, (col0, r[col0]), (row0, c[row0]), np.empty(ld * 2 * k * n)
 
     @cached_property
     def linear_block(self):
@@ -135,6 +138,16 @@ class StepReport:
     stages: SlabUnknowns
     factorizations: int   # main-block factorizations, counted as iterations are
     warnings: list
+
+
+@dataclass
+class Carry:
+    """What a slab leaves the next of its run, with the same tau; advance updates it: the
+    slab's start state and stages, and the Linearization it kept."""
+
+    state: SavState = None
+    stages: SlabUnknowns = None
+    lin: object = None
 
 
 @dataclass
@@ -232,9 +245,9 @@ def _assemble_newton_system(slab, unknowns, data):
     alpha = (2.0 / slab.cfg.tau) * slab.scheme.diff_matrix[:, 1:]   # (k, k), stage coupling
     N, du, (g1, g2) = data["N"], data["du"], data["g"]
     G1, X2, Y2 = (_integrals(asm, part, True) for part in (g1, g2.real, g2.imag))
-    width, base, (col0, col0_r), (row0, row0_c) = slab.band_slots
+    width, base, (col0, col0_r), (row0, row0_c), flat = slab.band_slots
     ld, ni = 3 * width + 1, 2 * k * (n - 1)
-    flat = np.zeros(ld * (ni + 2 * k))
+    flat.fill(0.0)
     Bt, Ct = np.zeros((3 * k, n, 2 * k)), np.zeros((3 * k, n, 2 * k))
 
     def apply_g(v):   # G1_j v_j + (X2_j + i Y2_j) conj v_j of stage vectors v, by quadrature
@@ -290,17 +303,17 @@ def _increment_norm(asm, delta_u, delta_r):
 
 @dataclass(frozen=True)
 class Linearization:
-    """An exact step's factored Newton system with the stage data (R, N, denoms) that
-    turn its solution (dU, z) into an increment; a chord step solves with it again."""
+    """An exact step's factored Newton system, and the stage data that turn its solutions
+    (dU, z) into increments; chord steps solve with it again."""
 
     R: np.ndarray
     N: np.ndarray
     denoms: np.ndarray
     factors: object   # linsolve.BorderedLU
 
-    def step(self, rhs_main, rhs_border):
-        """The increment (delta_u, delta_r) that solves the Newton system at this rhs."""
-        x_main, x_border, _ = solve_bordered(self.factors, rhs_main, rhs_border)
+    def step(self, data):
+        """The increment (delta_u, delta_r) that cancels the residual of _stage_data's `data`."""
+        x_main, x_border, _ = solve_bordered(self.factors, *_newton_rhs(data))
         k = len(self.R)
         delta_u = _stage_vectors(x_main, x_border[:-k])
         sigma = np.real(np.einsum("ki,ki->k", self.N.conj(), delta_u))
@@ -309,18 +322,16 @@ class Linearization:
 
 def newton_step(slab, state, unknowns, lin=None):
     """One Newton update; returns (unknowns, increment_norm, clamped_points, linearization).
-    Without `lin` the step is exact: it assembles and factors the Jacobian at `unknowns`
-    into the Linearization it returns.  With `lin` it is a chord step: the fresh residual
-    is solved with `lin`, with no assembly and no factorization, and `lin` is returned."""
+    Without `lin` the step is exact and factors the Jacobian at `unknowns` into the
+    Linearization it returns; with `lin`, a chord step solves the fresh residual with it."""
     data = _stage_data(slab, state, unknowns, need_jacobian=lin is None)
     # allocated before this step factors: a long-lived array above a factorization's
     # storage on glibc's brk heap pins it there (with SuperLU, peak RSS rose 5-20%)
     updated = SlabUnknowns(unknowns.u_stages.copy(), unknowns.r_stages.copy())
-    rhs = _newton_rhs(data)
     if lin is None:
         lin = Linearization(unknowns.r_stages, data["N"], data["denoms"],
                             factor_bordered(_assemble_newton_system(slab, unknowns, data)))
-    delta_u, delta_r = lin.step(*rhs)
+    delta_u, delta_r = lin.step(data)
     updated.u_stages += delta_u   # the bits of u + du
     updated.r_stages += delta_r
     inc = _increment_norm(slab.asm, delta_u, delta_r)
@@ -332,14 +343,18 @@ def newton_step(slab, state, unknowns, lin=None):
 def advance(slab, state, previous=None):
     """Solve one slab and return (new_state, StepReport).
 
-    Newton iterates until an increment norm is at most newton_tol; an exact step
-    whose increment e has newton_tol < e <= sqrt(newton_tol) is followed by a chord
-    step with its linearization.  With `previous`, the (start state, stages) of the
-    slab just solved with the same tau, Newton starts from that slab's collocation
-    polynomial at this slab's Gauss points (Hairer & Wanner, Solving ODEs II, IV.8),
-    and again from the constant value state if that fails.  No factorization of a
-    failed start outlives its except block, and the last start's failure is a
-    StepError with the slab's increment history.  kappa = 0 ignores `previous`.
+    Newton keeps a linearization (Knoll & Keyes, J. Comput. Phys. 193, 2004), the one in
+    `previous`, a Carry, then each exact step's, for the chord steps after it on this and
+    later slabs, until a chord step contracts by theta = e_n / e_{n-1} > THETA_MAX or raises a
+    NumericalError; the next step is then exact.  Newton stops at an exact e <= newton_tol,
+    or at a chord estimate theta / (1 - theta) e (e before a theta) <= KAPPA newton_tol
+    (Hairer & Wanner, Solving ODEs II, IV.8).  A chord step costs 1/8 of an exact one on
+    soliton_fine, and THETA_MAX = 0.1 asks a digit of it; KAPPA = 1e-4 stops near the
+    increments' roundoff, as an exact step's e^2 / 2 does, and so keeps the drifts at
+    roundoff (README, "Newton").  Newton starts from the polynomial of the slab whose start
+    state and stages `previous` holds, and again from the constant value state with an exact
+    step if that fails; the last start's failure is a StepError with the slab's increment
+    history.  kappa = 0 ignores `previous`.
     """
     cfg, scheme = slab.cfg, slab.scheme
     tau, k, tol = cfg.tau, cfg.k, cfg.newton_tol
@@ -354,33 +369,42 @@ def advance(slab, state, previous=None):
         res_final = _residual_norm(res_u, np.zeros(k))
         del _, res_u, delta_u   # before u_end: kept past it, they cost planewave_linear ~5%/slab
     else:
-        starts = [constant]
-        if previous is not None:
-            (prev_state, stages), E = previous, scheme.extrapolation_matrix
+        carry = previous or Carry()
+        lin, carry.lin, starts = carry.lin, None, [constant]
+        if carry.state is not None:
+            prev_state, stages, E = carry.state, carry.stages, scheme.extrapolation_matrix
             starts.insert(0, SlabUnknowns(E @ np.vstack([prev_state.u, stages.u_stages]),
                                           E @ np.append(prev_state.r, stages.r_stages)))
         for start in starts:
-            unknowns, lin, clamped = start, None, 0
+            unknowns, clamped = start, 0
             try:
                 for _ in range(cfg.max_newton_iters):
                     history.append(np.inf)   # until the step returns: a step that raises counts
                     chord = lin is not None
                     factorizations += not chord
-                    unknowns, e, step_clamped, lin = newton_step(slab, state, unknowns, lin)
+                    try:
+                        unknowns, e, step_clamped, lin = newton_step(slab, state, unknowns, lin)
+                    except NumericalError if chord else ():   # refresh from this iterate
+                        lin = None
+                        continue
                     history[-1], clamped = e, clamped + step_clamped
-                    if chord or not e ** 2 <= tol < e:
-                        lin = None   # kept for one chord step; none is alive when one factors
-                    if e <= tol:
+                    # history[-2] returned: a chord step follows no step that raised
+                    theta = e / history[-2] if chord and len(history) > 1 else None
+                    lin = None if theta and theta > THETA_MAX else lin
+                    eta = 1.0 if theta is None else theta / (1 - theta) if theta < 1 else np.inf
+                    if eta * e <= KAPPA * tol if chord else e <= tol:
                         break
                 else:
                     raise StepError(f"Newton did not converge in {cfg.max_newton_iters} "
                                     f"iterations (last increment {history[-1]:.3e})")
                 break
             except NumericalError as exc:
+                lin = None
                 if start is starts[-1]:
                     raise StepError(str(exc), increment_history=history) from exc
                 warnings.append(f"restarted Newton from the constant value; the start from the "
                                 f"previous slab's polynomial failed at step {len(history)}: {exc}")
+        carry.state, carry.stages, carry.lin = state, unknowns, lin
         if clamped:
             warnings.append(f"clamped singular g derivatives at {clamped} points")
         res_final = _residual_norm(*residual(slab, state, unknowns))
@@ -424,7 +448,7 @@ def integrate(u0_fn, cfg, space, nl, T, observers=(), nq=None):
     for obs in observers:
         if hasattr(obs, "start"):
             obs.start(state, asm, scheme, nl)
-    reports, states, previous = [], [state], None
+    reports, states, previous = [], [state], Carry()
     for n in range(1, N + 1):
         try:
             new_state, report = advance(slab, state, previous)
@@ -436,7 +460,6 @@ def integrate(u0_fn, cfg, space, nl, T, observers=(), nq=None):
             obs.after_slab(n, state, new_state, report)
         reports.append(report)
         states.append(new_state)
-        previous = (state, report.stages)
         state = new_state
     return TrajectorySummary(final_state=state, reports=reports, num_slabs=N,
                              states=states, assemblies=asm, scheme=scheme)

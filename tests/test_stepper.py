@@ -1,3 +1,7 @@
+import hashlib
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -16,7 +20,7 @@ from sav_nls.errors import ConfigurationError, SolverError, StepError
 from sav_nls.fem import DIRICHLET, PERIODIC, build_space, element_coefficients, interpolate
 from sav_nls.model import Nonlinearity, SavState, power_law, r_init
 from sav_nls.problems import soliton
-from sav_nls.stepper import (Assemblies, Slab, SlabUnknowns, StepperConfig,
+from sav_nls.stepper import (Assemblies, Carry, Slab, SlabUnknowns, StepperConfig,
                              _assemble_newton_system, _integrals, _split_dof0, _stage_data,
                              _stage_vectors, advance, integrate, newton_step, num_slabs,
                              residual)
@@ -276,34 +280,51 @@ class _SlabLog:
 
 @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_predictor_matches_cold_start(k, bc):
+def test_predictor_matches_cold_start(k, bc, monkeypatch):
     # integrate starts Newton on every slab after the first from the previous
-    # slab's polynomial: slab 1 is a cold-start advance bit for bit, and every
-    # later slab reaches the cold-start solution in no more Newton iterations
-    # than a cold start, and all of them together in fewer.  At k = 1 the linear
-    # extrapolation of the rotating phase misses the stage mass by 14% (the
-    # constant start by 3.5%); the Newton Jacobian carries the derivative of the
-    # SAV denominator, so that error still contracts quadratically
+    # slab's polynomial, with the linearization that slab kept: advance with the
+    # same Carry gives each slab bit for bit, and a cold start from the constant
+    # value with the same kept linearization reaches the same solution with at least
+    # as many factorizations, and all of them together with more (its start is too
+    # far for chord steps).  With no linearization kept or reused, every step exact,
+    # a warm start takes no more Newton iterations than a cold one, and all together
+    # fewer.  The cold starts run on a Slab of their own, as an exact step spends the
+    # kept linearization's band.  At k = 1 the linear extrapolation of the rotating
+    # phase misses the stage mass by 14% (the constant start by 3.5%); the Newton
+    # Jacobian carries the derivative of the SAV denominator, so that error still
+    # contracts quadratically
     prob = soliton()
     nl = power_law(prob.kappa, prob.q, c0=1.0)
     space = build_space(prob.a, prob.b, 60, 2, bc)
     cfg = StepperConfig(tau=0.1, k=k)
     log = _SlabLog()
     summary = integrate(prob.u0, cfg, space, nl, 0.5, observers=(log,))
-    warm_iters = cold_iters = 0
-    slab = Slab(cfg, summary.assemblies, summary.scheme, nl)
+    warm_slab, cold_slab = (Slab(cfg, summary.assemblies, summary.scheme, nl) for _ in "wc")
+    carry, counts = Carry(), np.zeros((2, 2), dtype=int)   # [reuse off, on] x [warm, cold]
+
+    def compare(state, previous, cold_previous, reuse):
+        warm, warm_report = advance(warm_slab, state, previous)
+        cold, cold_report = advance(cold_slab, state, cold_previous)
+        assert np.linalg.norm(warm.u - cold.u) <= 1e-9 * np.linalg.norm(cold.u)
+        assert abs(warm.r - cold.r) <= 1e-9 * abs(cold.r)
+        work = [(r.factorizations if reuse else r.iterations) for r in (warm_report, cold_report)]
+        assert work[0] <= work[1]
+        counts[int(reuse)] += work
+        return warm, warm_report
+
     for n, (state, new, report) in enumerate(log.slabs, start=1):
-        cold, cold_report = advance(slab, state)
-        if n == 1:
-            assert np.array_equal(new.u, cold.u) and new.r == cold.r
-            assert report.increment_history == cold_report.increment_history
-            continue
-        assert np.linalg.norm(new.u - cold.u) <= 1e-9 * np.linalg.norm(cold.u)
-        assert abs(new.r - cold.r) <= 1e-9 * abs(cold.r)
-        assert report.iterations <= cold_report.iterations
-        warm_iters += report.iterations
-        cold_iters += cold_report.iterations
-    assert warm_iters < cold_iters
+        if n == 1:   # nothing kept yet: the same run on either side
+            warm, warm_report = advance(warm_slab, state, carry)
+            assert np.array_equal(new.u, advance(cold_slab, state)[0].u)
+        else:
+            warm, warm_report = compare(state, carry, Carry(lin=carry.lin), True)
+        assert np.array_equal(new.u, warm.u) and new.r == warm.r
+        assert report.increment_history == warm_report.increment_history
+    step = stepper.newton_step   # no linearization kept or reused: every step exact
+    monkeypatch.setattr(stepper, "newton_step", lambda *args: (*step(*args[:3])[:3], None))
+    for (prev_state, _, prev_report), (state, _, _) in zip(log.slabs, log.slabs[1:]):
+        compare(state, Carry(prev_state, prev_report.stages), None, False)
+    assert np.all(counts[:, 0] < counts[:, 1]), counts
 
 
 @pytest.mark.parametrize("config,overrides", [
@@ -347,53 +368,73 @@ def test_residual_final_is_the_residual_of_the_returned_stages(config, overrides
         assert abs(report.residual_final - recomputed) <= 1e-12 * recomputed
 
 
-def test_newton_converges_quadratically():
+def test_newton_converges_quadratically(monkeypatch):
     # the first 3 slabs of configs/soliton_conservation.cfg (M = 200, p = 3,
-    # k = 3, tau = 0.2): once an increment e_n is below 1e-2, the next one is at
-    # most C e_n^2, plus 1e-12 for roundoff.  Measured e_{n+1} / e_n^2 there: 0.30,
-    # 0.49 and 0.50 (e.g. slab 2: 1.2e-5 -> 7.2e-11); with the denominator frozen
-    # in the Jacobian it was 2.8 to 1e7 (slab 2: 7.2e-5 -> 3.0e-7, ratio 57)
+    # k = 3, tau = 0.2), every step exact: once an increment e_n is below 1e-2, the
+    # next exact one is at most C e_n^2, plus 1e-12 for roundoff.  Measured
+    # e_{n+1} / e_n^2 there: 0.30, 0.49 and 0.50 (e.g. slab 2: 1.2e-5 -> 7.2e-11); with
+    # the denominator frozen in the Jacobian it was 2.8 to 1e7 (slab 2: 7.2e-5 ->
+    # 3.0e-7, ratio 57).  newton_step is called without the linearization it is
+    # handed, so advance's chord steps are exact too
+    step = stepper.newton_step
+    monkeypatch.setattr(stepper, "newton_step",
+                        lambda slab, state, unknowns, lin=None: step(slab, state, unknowns))
     cfg = parse_config(str(CONFIGS / "soliton_conservation.cfg"))
     prob, nl = build_problem(cfg)
     space = build_space(cfg.a, cfg.b, cfg.M, cfg.p, cfg.bc)
     scfg = StepperConfig(tau=cfg.tau, k=cfg.k, newton_tol=cfg.newton_tol)
     summary = integrate(prob.u0, scfg, space, nl, 3 * cfg.tau)
-    C = 2.0
+    C, pairs = 2.0, 0
     for report in summary.reports:
         e = report.increment_history
         for prev, nxt in zip(e, e[1:]):
             if prev < 1e-2:
                 assert nxt <= C * prev ** 2 + 1e-12, e
+                pairs += 1
+    assert pairs >= len(summary.reports)
 
 
-def test_confirming_newton_step_reuses_the_last_factorization(monkeypatch):
-    # the first 3 slabs of configs/soliton_conservation.cfg: a slab whose last
-    # exact increment e has newton_tol < e and e^2 <= newton_tol ends on a chord
-    # step with that step's factorization (slab 1: 6.6e-7 -> 3.0e-15, slab 3:
-    # 1.2e-10 -> 3.6e-15); slab 2 ends on an exact step (1.2e-5 -> 7.2e-11,
-    # and 1.2e-5^2 > 1e-10).  StepReport.factorizations counts the real ones
-    calls = []
-    factor = linsolve.factor
-    monkeypatch.setattr(linsolve, "factor", lambda K: calls.append(1) or factor(K))
+def _stops(e, e_last, chord, tol):
+    """Whether advance's stopping rule ends a chord sequence, or Newton, at increment e."""
+    if not chord:
+        return e <= tol
+    theta = e / e_last if e_last else None
+    return e <= stepper.KAPPA * tol or (
+        theta is not None and theta < 1 and theta / (1 - theta) * e <= stepper.KAPPA * tol)
+
+
+def test_chord_steps_stop_on_the_contraction_estimate(monkeypatch):
+    # the first 3 slabs of configs/soliton_conservation.cfg: each exact step's
+    # linearization serves the chord steps after it, also on the next slab, and Newton
+    # stops at the first exact increment e <= newton_tol or chord estimate
+    # theta / (1 - theta) e <= KAPPA newton_tol (e <= KAPPA newton_tol with no theta).
+    # StepReport.factorizations counts the real ones
+    log = _log_bordered_solves(monkeypatch)
     cfg = parse_config(str(CONFIGS / "soliton_conservation.cfg"))
     prob, nl = build_problem(cfg)
     space = build_space(cfg.a, cfg.b, cfg.M, cfg.p, cfg.bc)
     scfg = StepperConfig(tau=cfg.tau, k=cfg.k, newton_tol=cfg.newton_tol)
     summary = integrate(prob.u0, scfg, space, nl, 3 * cfg.tau)
-    tol = scfg.newton_tol
+    pos = 0
     for report in summary.reports:
+        steps = log[pos:pos + report.iterations]
+        pos += report.iterations
+        assert report.factorizations == sum(not chord for chord, _ in steps)
         e = report.increment_history
-        chord = tol < e[-2] and e[-2] ** 2 <= tol
-        assert report.factorizations == report.iterations - chord, e
-    assert len(calls) == sum(r.factorizations for r in summary.reports)
-    assert len(calls) < sum(r.iterations for r in summary.reports)
+        stops = [_stops(e[i], e[i - 1] if i else None, steps[i][0], scfg.newton_tol)
+                 for i in range(len(e))]
+        assert stops[-1] and not any(stops[:-1]), e
+    assert pos == len(log) == sum(r.iterations for r in summary.reports)
+    assert log[-1][1] == sum(r.factorizations for r in summary.reports)
+    assert summary.reports[1].factorizations < summary.reports[1].iterations
+    assert log[summary.reports[0].iterations][0]   # slab 2 starts with slab 1's linearization
 
 
 def _log_bordered_solves(monkeypatch, fail_chord=False):
     """Route stepper.solve_bordered through a wrapper; returns the log of
     (chord step?, factorizations so far) per solve, a chord step's solve being one
-    with no factorization since the solve before it.  With fail_chord the first
-    chord solve raises SolverError."""
+    with no factorization since the solve before it (or since the wrapper was put
+    in).  With fail_chord the first chord solve raises SolverError."""
     log, calls, fail = [], [], [True] if fail_chord else []
     factor, solve = linsolve.factor, stepper.solve_bordered
 
@@ -402,7 +443,7 @@ def _log_bordered_solves(monkeypatch, fail_chord=False):
         return factor(K)
 
     def logged_solve(factors, rhs_main, rhs_border):
-        chord = bool(log) and log[-1][1] == len(calls)
+        chord = len(calls) == (log[-1][1] if log else 0)
         if chord and fail:
             fail.clear()
             raise SolverError("chord solve failed")
@@ -416,29 +457,31 @@ def _log_bordered_solves(monkeypatch, fail_chord=False):
 
 
 def test_chord_step_that_does_not_converge_is_followed_by_an_exact_step(monkeypatch):
-    # coarse defocusing data at k = 1 with newton_tol = 1e-3: slab 2's first
-    # exact increment 2.6e-2 has e^2 <= newton_tol, but the chord step after it
-    # gives 3.0e-3 > newton_tol, so the next step assembles and factors again
+    # coarse defocusing data at k = 1 with newton_tol = 1e-3: a chord step whose
+    # contraction theta = e_n / e_{n-1} exceeds THETA_MAX drops its linearization,
+    # and the next step assembles and factors again; one with theta <= THETA_MAX is
+    # followed by another chord step.  Slab 1: 1.2e-1 exact, 1.3e-2 (theta 0.11),
+    # 1.4e-4 exact; slab 2, from slab 1's linearization: 2.7e-2, 1.2e-3 (theta 0.04),
+    # 1.4e-4 (theta 0.12), 7.0e-7 exact
     log = _log_bordered_solves(monkeypatch)
     prob = soliton()
     nl = power_law(-prob.kappa, prob.q, c0=1.0)
     space = build_space(prob.a, prob.b, 16, 1, PERIODIC)
     cfg = StepperConfig(tau=0.1, k=1, newton_tol=1e-3)
     summary = integrate(prob.u0, cfg, space, nl, 0.2)
-    history = [e for r in summary.reports for e in r.increment_history]
-    assert len(log) == len(history)
-    failed = 0
-    for (chord, factored), (after, factored_after), e in zip(log, log[1:], history):
-        assert not (chord and after)
-        assert factored_after == factored + (not after)
-        if chord and e > cfg.newton_tol:
-            failed += 1
-    assert failed >= 1
-    pos = 0
+    pos, dropped = 0, []
     for report in summary.reports:
         steps = log[pos:pos + report.iterations]
         pos += report.iterations
         assert report.factorizations == sum(not chord for chord, _ in steps)
+        e = report.increment_history
+        for i in range(1, len(e) - 1):
+            if steps[i][0]:
+                theta = e[i] / e[i - 1]
+                assert steps[i + 1][0] == (theta <= stepper.THETA_MAX), (e, steps)
+                dropped += [theta] if theta > stepper.THETA_MAX else []
+    assert pos == len(log) and len(dropped) == 2
+    assert log[summary.reports[0].iterations][0]   # slab 2 starts with slab 1's linearization
 
 
 class _Factorization:
@@ -450,7 +493,7 @@ class _Factorization:
 
 def _count_live_factorizations(monkeypatch):
     """Route linsolve.factor through weakref-tracked factorizations; returns the
-    number of earlier factorizations still alive at each call."""
+    number of earlier factorizations still alive at each call, and the weakrefs."""
     live, refs, factor = [], [], linsolve.factor
 
     def tracked_factor(K):
@@ -460,55 +503,133 @@ def _count_live_factorizations(monkeypatch):
         return lu
 
     monkeypatch.setattr(linsolve, "factor", tracked_factor)
-    return live
+    return live, refs
 
 
 def test_no_factorization_outlives_its_use(monkeypatch):
-    # 5 slabs of configs/soliton_conservation.cfg, chord steps included: each
-    # factorization is freed before the next one is made (a live one pins
-    # SuperLU's workspace and raises peak RSS)
-    live = _count_live_factorizations(monkeypatch)
+    # 5 slabs of configs/soliton_conservation.cfg, chord steps on kept linearizations
+    # included: at most one factorization is alive at any time, none when the next one
+    # is made (a live one pins SuperLU's workspace, or W and the band's factors, and
+    # raises peak RSS), and none once integrate has returned
+    live, refs = _count_live_factorizations(monkeypatch)
     cfg = parse_config(str(CONFIGS / "soliton_conservation.cfg"))
     prob, nl = build_problem(cfg)
     space = build_space(cfg.a, cfg.b, cfg.M, cfg.p, cfg.bc)
     scfg = StepperConfig(tau=cfg.tau, k=cfg.k, newton_tol=cfg.newton_tol)
     summary = integrate(prob.u0, scfg, space, nl, 5 * cfg.tau)
-    assert len(live) == sum(r.factorizations for r in summary.reports) == 20
+    assert len(live) == sum(r.factorizations for r in summary.reports) == 6
     assert live == [0] * len(live)
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
-def test_chord_step_solver_error_restarts_like_an_exact_one(monkeypatch):
-    # slab 2 from the previous slab's polynomial is exact, exact, exact, chord;
-    # a SolverError in that chord solve restarts the slab from the constant
-    # value, as one in an exact step does, bit for bit as a cold start, and
-    # the failed attempt's factorization is freed before the restart factors
+def test_chord_step_solver_error_refreshes_the_linearization(monkeypatch):
+    # slab 2 starts with a chord step on slab 1's linearization; a SolverError in
+    # that chord solve drops the linearization and the slab goes on from the same
+    # iterate with an exact step, bit for bit as a slab with no kept linearization,
+    # without a restart from the constant value; the kept linearization is freed
+    # before the refresh factors
     prob = soliton()
     nl = power_law(prob.kappa, prob.q, c0=1.0)
     space = build_space(prob.a, prob.b, 60, 2, PERIODIC)
     cfg = StepperConfig(tau=0.1, k=2)
     log = _SlabLog()
     summary = integrate(prob.u0, cfg, space, nl, 0.2, observers=(log,))
-    (state0, state1, report1), (_, new, report) = log.slabs
-    assert report.factorizations == report.iterations - 1
+    (state0, state1, report1), _ = log.slabs
     slab = Slab(cfg, summary.assemblies, summary.scheme, nl)
-    cold, cold_report = advance(slab, state1)
-    live = _count_live_factorizations(monkeypatch)
-    _log_bordered_solves(monkeypatch, fail_chord=True)
-    new, report = advance(slab, state1, previous=(state0, report1.stages))
+    fresh, fresh_report = advance(slab, state1, Carry(state0, report1.stages))
+    carry = Carry()
+    advance(slab, state0, carry)
+    assert carry.lin is not None
+    live, _ = _count_live_factorizations(monkeypatch)
+    solves = _log_bordered_solves(monkeypatch, fail_chord=True)
+    new, report = advance(slab, state1, carry)
     assert live == [0] * report.factorizations
-    assert np.array_equal(new.u, cold.u) and new.r == cold.r
-    assert report.increment_history[3:] == [np.inf] + cold_report.increment_history
-    assert report.factorizations == 3 + cold_report.factorizations
-    assert report.warnings[0].startswith("restarted Newton from the constant value; the start "
-                                         "from the previous slab's polynomial failed at step 4")
-    assert "chord solve failed" in report.warnings[0]
+    assert not solves[0][0]   # the failed chord solve is not logged; the next step is exact
+    assert np.array_equal(new.u, fresh.u) and new.r == fresh.r
+    assert report.increment_history == [np.inf] + fresh_report.increment_history
+    assert report.factorizations == fresh_report.factorizations
+    assert report.warnings == fresh_report.warnings == []
+
+
+def test_kept_linearization_whose_contraction_exceeds_the_bound_is_dropped(monkeypatch):
+    # a linearization kept on the soliton's first slab, reused for the same data turned
+    # by a global phase of 0.7 (which turns the g2 part of the Jacobian by 1.4): the
+    # second chord step contracts by theta = 0.26 > THETA_MAX, so the next step is exact,
+    # and the slab converges to the cold-start solution and keeps the new linearization
+    prob = soliton()
+    nl = power_law(prob.kappa, prob.q, c0=1.0)
+    space = build_space(prob.a, prob.b, 60, 2, PERIODIC)
+    asm = Assemblies.build(space)
+    slab = make_slab(asm, collocation_scheme(2), nl, 0.1)
+    u0 = interpolate(space, prob.u0)
+    state = SavState(u=u0, r=r_init(asm, u0, nl), t=0.0)
+    turned = SavState(u=np.exp(0.7j) * u0, r=state.r, t=0.0)
+    cold, _ = advance(slab, turned)
+    carry = Carry()
+    advance(slab, state, carry)
+    kept, log = carry.lin, _log_bordered_solves(monkeypatch)
+    turned_carry = Carry(lin=kept)
+    new, report = advance(slab, turned, turned_carry)
+    e = report.increment_history
+    assert [chord for chord, _ in log[:3]] == [True, True, False]
+    assert e[1] / e[0] > stepper.THETA_MAX and report.factorizations >= 1
+    assert np.linalg.norm(new.u - cold.u) <= 1e-9 * np.linalg.norm(cold.u)
+    assert turned_carry.lin is not None and turned_carry.lin is not kept
+
+
+def test_newton_step_calls_equal_report_iterations(monkeypatch):
+    # every Newton step goes through stepper.newton_step and counts in its slab's
+    # StepReport.iterations: exact and chord steps, chord steps dropped for their
+    # contraction, and a chord step whose solve raised
+    step, calls = stepper.newton_step, []
+    monkeypatch.setattr(stepper, "newton_step", lambda *args: calls.append(1) or step(*args))
+    _log_bordered_solves(monkeypatch, fail_chord=True)
+
+    class Counter:
+        def __init__(self):
+            self.per_slab, self.seen = [], 0
+
+        def after_slab(self, n, prev_state, new_state, report):
+            self.per_slab.append((len(calls) - self.seen, report))
+            self.seen = len(calls)
+
+    prob = soliton()
+    counter = Counter()
+    integrate(prob.u0, StepperConfig(tau=0.1, k=2), build_space(prob.a, prob.b, 60, 2, PERIODIC),
+              power_law(prob.kappa, prob.q, c0=1.0), 0.3, observers=(counter,))
+    assert [n for n, _ in counter.per_slab] == [r.iterations for _, r in counter.per_slab]
+    assert np.inf in counter.per_slab[0][1].increment_history   # the rejected chord step
+
+
+def _run_digest(tau):
+    """SHA-256 of the states and increment histories of a short soliton run with tau."""
+    prob = soliton()
+    summary = integrate(prob.u0, StepperConfig(tau=tau, k=2),
+                        build_space(prob.a, prob.b, 40, 2, PERIODIC),
+                        power_law(prob.kappa, prob.q, c0=1.0), 0.4)
+    parts = [s.u.tobytes() + np.float64(s.r).tobytes() for s in summary.states]
+    parts += [np.array(r.increment_history).tobytes() for r in summary.reports]
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
+def test_runs_with_another_tau_in_one_process_give_the_bits_of_fresh_processes():
+    # nothing a run keeps, its linearization included, reaches another run: two runs
+    # with different tau, one after the other in this process, give the bits of each
+    # run alone in a fresh process
+    here = [_run_digest(tau) for tau in (0.1, 0.05)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    fresh = [subprocess.run([sys.executable, "-c", "import sys; from test_stepper import "
+                             f"_run_digest; print(_run_digest({tau}))"], env=env, check=True,
+                            capture_output=True, text=True).stdout.strip() for tau in (0.1, 0.05)]
+    assert here == fresh and here[0] != here[1]
 
 
 def test_failed_predictor_restarts_from_constant_value():
     # under-resolved defocusing data (h = 1.25 against wave number 2): the
-    # extrapolated start of slab 2 has a nonpositive SAV radicand, so advance
-    # solves the slab from the constant value, bit for bit as a cold start,
-    # and counts the failed step
+    # extrapolated start of slab 2 has a nonpositive SAV radicand, in its chord step
+    # on slab 1's linearization and again in the exact step that refreshes it, so
+    # advance solves the slab from the constant value, bit for bit as a cold start,
+    # and counts the failed steps
     prob = soliton(-10.0, 10.0)
     nl = power_law(-prob.kappa, prob.q, c0=1.0)
     space = build_space(prob.a, prob.b, 16, 3, PERIODIC)
@@ -518,17 +639,19 @@ def test_failed_predictor_restarts_from_constant_value():
     state, new, report = log.slabs[1]
     cold, cold_report = advance(Slab(cfg, summary.assemblies, summary.scheme, nl), state)
     assert np.array_equal(new.u, cold.u) and new.r == cold.r
-    assert report.increment_history == [np.inf] + cold_report.increment_history
+    assert report.increment_history == [np.inf, np.inf] + cold_report.increment_history
     assert report.warnings[0].startswith("restarted Newton from the constant value; the start "
-                                         "from the previous slab's polynomial failed at step 1")
+                                         "from the previous slab's polynomial failed at step 2")
     assert "nonpositive" in report.warnings[0]
 
 
 def test_start_that_does_not_converge_restarts_from_constant_value(monkeypatch):
-    # slab 2's start from the previous slab's polynomial reports increment 1.0 for
-    # all max_newton_iters = 6 of its steps, which all factor; advance then solves
-    # the slab from the constant value, bit for bit as a cold start, and keeps the
-    # failed start's steps in the slab's history and factorization count
+    # slab 2's start from the previous slab's polynomial reports increments 0.05^i,
+    # i = 0..5, for its max_newton_iters = 6 steps: one exact step, then chord steps
+    # whose theta = 0.05 keeps the linearization but never meets the stopping rule.
+    # advance then drops it and solves the slab from the constant value, bit for bit
+    # as a cold start, and keeps the failed start's steps in the slab's history and
+    # factorization count
     prob = soliton()
     nl = power_law(prob.kappa, prob.q, c0=1.0)
     space = build_space(prob.a, prob.b, 60, 2, PERIODIC)
@@ -543,13 +666,13 @@ def test_start_that_does_not_converge_restarts_from_constant_value(monkeypatch):
     def stalled(*args, **kwargs):
         unknowns, inc, clamped, lin = step(*args, **kwargs)
         steps.append(inc)
-        return unknowns, 1.0 if len(steps) <= 6 else inc, clamped, lin
+        return unknowns, 0.05 ** (len(steps) - 1) if len(steps) <= 6 else inc, clamped, lin
 
     monkeypatch.setattr(stepper, "newton_step", stalled)
-    new, report = advance(slab, state1, previous=(state0, report1.stages))
+    new, report = advance(slab, state1, previous=Carry(state0, report1.stages))
     assert np.array_equal(new.u, cold.u) and new.r == cold.r
-    assert report.increment_history == [1.0] * 6 + cold_report.increment_history
-    assert report.factorizations == 6 + cold_report.factorizations
+    assert report.increment_history == [0.05 ** i for i in range(6)] + cold_report.increment_history
+    assert report.factorizations == 1 + cold_report.factorizations
     assert "did not converge in 6 iterations" in report.warnings[0]
 
 
@@ -568,16 +691,17 @@ def _count_builds(monkeypatch, name):
 
 
 def test_per_run_data_is_built_once(monkeypatch):
-    # a 3-slab nonlinear run reads the band slots at every exact step and a 3-slab
-    # kappa = 0 run factors its stage matrix on every slab: each run builds them
-    # once.  Two Slabs on one Assemblies with different tau build their own blocks
+    # a 3-slab nonlinear run reads the band slots, and assembles into the band storage
+    # they hold, at every exact step and a 3-slab kappa = 0 run factors its stage matrix
+    # on every slab: each run builds them once.  Two Slabs on one Assemblies with
+    # different tau build their own blocks
     slots, blocks = (_count_builds(monkeypatch, name) for name in ("band_slots", "linear_block"))
     prob = soliton()
     space = build_space(prob.a, prob.b, 30, 1, PERIODIC)
     summary = integrate(prob.u0, StepperConfig(tau=0.1, k=2), space,
                         power_law(2.0, 3.0, c0=1.0), 0.3)
     assert len(slots) == 1 and blocks == []
-    assert sum(r.factorizations for r in summary.reports) >= 3
+    assert sum(r.factorizations for r in summary.reports) >= 2
     linear = power_law(0.0, 3.0, c0=1.0)
     summary = integrate(prob.u0, StepperConfig(tau=0.1, k=2), space, linear, 0.3)
     assert summary.num_slabs == 3 and len(slots) == 1 and len(blocks) == 1
