@@ -84,8 +84,7 @@ class BorderedSolution(NamedTuple):
 
 @dataclass(frozen=True)
 class BorderedLU:
-    """A BorderedSystem factored once: the factorization of K, W = K^-1 B, the Schur
-    complement S = Dmat - C W, and the system's C and product, for any right-hand side."""
+    """A BorderedSystem factored once: K's LU, W = K^-1 B, S = Dmat - C W, C and product."""
 
     lu: object
     W: np.ndarray

@@ -142,8 +142,7 @@ class StepReport:
 
 @dataclass
 class Carry:
-    """What a slab leaves the next of its run, with the same tau; advance updates it: the
-    slab's start state and stages, and the Linearization it kept."""
+    """What advance leaves the next slab of its run: start state, stages, kept Linearization."""
 
     state: SavState = None
     stages: SlabUnknowns = None
@@ -303,8 +302,7 @@ def _increment_norm(asm, delta_u, delta_r):
 
 @dataclass(frozen=True)
 class Linearization:
-    """An exact step's factored Newton system, and the stage data that turn its solutions
-    (dU, z) into increments; chord steps solve with it again."""
+    """An exact step's factored Newton system and the stage data of its increments."""
 
     R: np.ndarray
     N: np.ndarray
@@ -322,8 +320,7 @@ class Linearization:
 
 def newton_step(slab, state, unknowns, lin=None):
     """One Newton update; returns (unknowns, increment_norm, clamped_points, linearization).
-    Without `lin` the step is exact and factors the Jacobian at `unknowns` into the
-    Linearization it returns; with `lin`, a chord step solves the fresh residual with it."""
+    Without `lin` it is exact and factors its own; with `lin` it is a chord step."""
     data = _stage_data(slab, state, unknowns, need_jacobian=lin is None)
     # allocated before this step factors: a long-lived array above a factorization's
     # storage on glibc's brk heap pins it there (with SuperLU, peak RSS rose 5-20%)
