@@ -156,20 +156,23 @@ def scatter_vector(space, local_loads):
             + 1j * np.bincount(idx, weights=vals.imag, minlength=space.num_dofs))
 
 
-def assemble_mass(space, pattern):
-    """Mass operator M_ij = int phi_i phi_j dx (symmetric positive definite)."""
+def element_matrices(space):
+    """The element mass int phi_l phi_m dx and stiffness int phi_l' phi_m' dx, (p+1, p+1) each,
+    on p + 1 Gauss points (exact); mass symmetric positive definite, stiffness PSD."""
     h = space.mesh.h
-    _, wts, phi, _ = basis_tables(space.degree, space.degree + 1)
-    local = h * np.einsum("q,ql,qm->lm", wts, phi, phi)
-    return scatter_matrix(pattern, local)
+    _, wts, phi, dphi = basis_tables(space.degree, space.degree + 1)
+    return (h * np.einsum("q,ql,qm->lm", wts, phi, phi),
+            (1.0 / h) * np.einsum("q,ql,qm->lm", wts, dphi, dphi))
+
+
+def assemble_mass(space, pattern):
+    """Mass operator M_ij = int phi_i phi_j dx."""
+    return scatter_matrix(pattern, element_matrices(space)[0])
 
 
 def assemble_stiffness(space, pattern):
-    """Stiffness operator A_ij = int phi_i' phi_j' dx (symmetric PSD)."""
-    h = space.mesh.h
-    _, wts, _, dphi = basis_tables(space.degree, space.degree + 1)
-    local = (1.0 / h) * np.einsum("q,ql,qm->lm", wts, dphi, dphi)
-    return scatter_matrix(pattern, local)
+    """Stiffness operator A_ij = int phi_i' phi_j' dx."""
+    return scatter_matrix(pattern, element_matrices(space)[1])
 
 
 def interpolate(space, fn):

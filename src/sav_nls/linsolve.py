@@ -2,10 +2,14 @@
 
 The main block K is factored; the few border unknowns enter through dense
 rows and columns and are eliminated with a Schur complement.  A sparse K is
-factored with SuperLU, a Band (such as the Newton main block, whose
-assembler moves the unknowns that would break the band into the border) with
-LAPACK's banded LU (dgbtrf/dgbtrs).  The residual of every solve is checked
-on the full system.
+factored with SuperLU, a Band with LAPACK's banded LU (dgbtrf/dgbtrs).  A K of
+dense element blocks (Elements, such as the Newton main block) is condensed
+first (Karniadakis & Sherwin, Spectral/hp Element Methods, 2005; Guyan 1965):
+one batched inverse of the element interiors' blocks leaves a Band on the
+vertices, block tridiagonal, whose first vertex joins the border, as a periodic
+mesh wraps there; each solve condenses its right-hand side and back-substitutes
+the interiors with batched matvecs.  The residual of every solve is checked on
+the full, uncondensed system.
 """
 
 from dataclasses import dataclass
@@ -28,6 +32,48 @@ class Band(NamedTuple):
 
     ab: np.ndarray
     width: int   # half-bandwidth, below and above the diagonal
+
+
+class Layout(NamedTuple):
+    """Where element blocks go, condensed (element_layout)."""
+
+    index: np.ndarray      # (M, nl): each element's unknowns, -1 for a dropped one
+    interior: np.ndarray   # (M, nl - 2b): index[:, 2b:]
+    vertex: np.ndarray     # the vertex unknowns in condensed order
+    slots: np.ndarray      # (M, 2b + k): condensed position of each vertex and border unknown
+    flat: np.ndarray       # (M, 2b + k, 2b + k): storage slot of each entry of their block
+    starts: np.ndarray     # of the band, B', [C' Dmat'] and a dropped slot in that storage
+    size: int              # of the band
+
+
+class Elements(NamedTuple):
+    """A square matrix summed from dense element blocks: blocks[e] adds at the rows and
+    columns layout.index[e], where an index -1 drops its row and column."""
+
+    blocks: np.ndarray   # (M, nl, nl)
+    layout: Layout
+
+
+def element_layout(index, b, k):
+    """The Layout of element blocks on the unknowns `index` next to k border unknowns.  An
+    element's first b local unknowns are its first vertex, the next b its last, which is the
+    next element's first (the first element's, for the last one on a periodic mesh), and
+    the rest its interior, which no other element shares.  Condensed, the unknowns are the
+    band of the vertices but the first (block tridiagonal, half-bandwidth 2b - 1), then the
+    first vertex's, then the border's, and then a slot for a dropped one."""
+    vertex = np.roll(index[index[:, 0] >= 0, :b], -1, axis=0).ravel()   # the first one last
+    size, nb, w = len(vertex) - b, b + k, 2 * b - 1
+    position = np.full(index.max() + 2, size + nb)   # index -1 reads the last entry
+    position[vertex] = np.arange(size + b)
+    border = np.tile(size + b + np.arange(k), (len(index), 1))
+    slots = np.hstack([position[index[:, :2 * b]], border])
+    r, c = slots[:, :, None], slots[:, None, :]   # storage: band, B' (Fortran order), [C' Dmat']
+    ld = 3 * w + 1
+    starts = np.cumsum([0, ld * size, size * nb, nb * (size + nb)])
+    flat = np.where(r >= size, starts[2] + (r - size) * (size + nb) + c,
+                    np.where(c < size, c * ld + 2 * w + r - c, starts[1] + (c - size) * size + r))
+    flat[(r == size + nb) | (c == size + nb)] = starts[3]
+    return Layout(index, index[:, 2 * b:], vertex, slots, flat.astype(np.int32), starts, size)
 
 
 @dataclass(frozen=True)
@@ -65,9 +111,10 @@ def factor(K):
 
 @dataclass
 class BorderedSystem:
-    """The matrix of K x + B y = rhs_main;  C x + Dmat y = rhs_border, with K a Band or a
-    sparse matrix.  `product`, when given, maps (x, y) to (K x + B y, C x + Dmat y)
-    without reading K or B; a Band K needs it, as factoring it overwrites K and B (LU, W)."""
+    """The matrix of K x + B y = rhs_main;  C x + Dmat y = rhs_border, with K a Band,
+    Elements or a sparse matrix.  `product`, when given, maps (x, y) to (K x + B y,
+    C x + Dmat y) without reading K or B; a Band K needs it, as factoring it overwrites K
+    and B (LU, W), and an Elements K, which factoring consumes and condenses."""
 
     K: object
     B: np.ndarray
@@ -82,26 +129,74 @@ class BorderedSolution(NamedTuple):
     residual: float
 
 
+def _matvecs(A, x):
+    return np.einsum("eij,ej->ei", A, x)   # A[e] @ x[e] for every element e
+
+
+def _condense(system):
+    """The bordered system on the band of an Elements K's vertices, and (layout, K_II^-1,
+    [K_VI; C_I], K_II^-1 [K_IV, B_I]) of its elements, whose Schur complements it sums:
+    K_VV - K_VI K_II^-1 K_IV, B_V - K_VI K_II^-1 B_I, C_V - C_I K_II^-1 K_IV and
+    Dmat - C_I K_II^-1 B_I, the border's entries at a vertex taken from the element that
+    it starts."""
+    (J, lay), B, C, Dmat = system.K, system.B, system.C, system.Dmat
+    system.K = None   # consumed, to free the blocks before the band is stored (peak RSS)
+    o, size, starts = J.shape[1] - lay.interior.shape[1], lay.size, lay.starts
+    b, nb = o // 2, o // 2 + len(Dmat)
+    inv = np.linalg.inv(J[:, o:, o:])
+    left = np.concatenate([J[:, :o, o:], C[:, lay.interior].transpose(1, 0, 2)], axis=1)
+    X = inv @ np.concatenate([J[:, o:, :o], B[lay.interior]], axis=2)
+    S = -(left @ X)
+    S[:, :o, :o] += J[:, :o, :o]
+    S[:, :b, o:] += B[lay.index[:, :b]]
+    S[:, o:, :b] += C[:, lay.index[:, :b]].transpose(1, 0, 2)
+    S[0, o:, o:] += Dmat
+    del J
+    store = np.zeros(starts[3] + 1)
+    np.add.at(store, lay.flat, S)
+    band, right, bottom = np.split(store[:-1], starts[1:3])
+    bottom = bottom.reshape(nb, size + nb)
+    return (BorderedSystem(Band(band.reshape((3 * o - 2, size), order="F"), o - 1),
+                           right.reshape((size, nb), order="F"), bottom[:, :size],
+                           bottom[:, size:], system.product), (lay, inv, left, X))
+
+
 @dataclass(frozen=True)
 class BorderedLU:
-    """A BorderedSystem factored once: K's LU, W = K^-1 B, S = Dmat - C W, C and product."""
+    """A BorderedSystem factored once: K's LU, W = K^-1 B, S = Dmat - C W, C and product;
+    for an Elements K, those of the condensed system and what _condense kept."""
 
     lu: object
     W: np.ndarray
     S: np.ndarray
     C: np.ndarray
     product: object
+    condensed: tuple = None
 
     def solve(self, rhs_main, rhs_border):
         """Solve K y = rhs_main and S x_border = rhs_border - C y, and back-substitute
-        x_main = y - W x_border.  The relative residual of the full system, applied by
-        `product`, is verified against RESIDUAL_TOL (a NaN fails it) and returned."""
-        y = self.lu.solve(rhs_main.copy())   # rhs_main is kept for the residual
+        x_main = y - W x_border, on the condensed system if there is one.  The relative
+        residual of the full system, applied by `product`, is verified against
+        RESIDUAL_TOL (a NaN fails it) and returned."""
+        if self.condensed:   # y_I = K_II^-1 b_I; b_V, b_border -= [K_VI; C_I] y_I
+            lay, inv, left, X = self.condensed
+            y_I = _matvecs(inv, rhs_main[lay.interior])
+            g = np.concatenate([rhs_main[lay.vertex], rhs_border, [0.0]])
+            g -= np.bincount(lay.slots.ravel(), _matvecs(left, y_I).ravel(), len(g))
+            main, border = g[:lay.size], g[lay.size:-1]
+        else:
+            main, border = rhs_main.copy(), rhs_border   # rhs_main is kept for the residual
+        y = self.lu.solve(main)
         try:
-            x_border = np.linalg.solve(self.S, rhs_border - self.C @ y)
+            x_border = np.linalg.solve(self.S, border - self.C @ y)
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular Schur complement (degenerate r-coupling)") from exc
         x_main = y - self.W @ x_border
+        if self.condensed:   # x_I = y_I - K_II^-1 [K_IV, B_I] (x_V, x_border)
+            g = np.concatenate([x_main, x_border, [0.0]])
+            x_main, x_border = np.empty(len(rhs_main)), x_border[len(lay.vertex) - lay.size:]
+            x_main[lay.vertex] = g[:len(lay.vertex)]
+            x_main[lay.interior] = y_I - _matvecs(X, g[lay.slots])
         main, border = self.product(x_main, x_border)
         r_main, r_border = main - rhs_main, border - rhs_border
         scale = max(np.linalg.norm(rhs_main) + np.linalg.norm(rhs_border), 1e-300)
@@ -116,9 +211,11 @@ solve_bordered = BorderedLU.solve   # solve_bordered(lu, rhs_main, rhs_border): 
 
 
 def factor_bordered(system):
-    """The BorderedLU of a BorderedSystem, whose Band K and B become its LU and W."""
+    """The BorderedLU of a BorderedSystem, whose Band K and B become its LU and W; an
+    Elements K is condensed first."""
+    system, condensed = _condense(system) if isinstance(system.K, Elements) else (system, None)
     K, B, C, Dmat = system.K, system.B, system.C, system.Dmat
     lu = factor(K)
     W = lu.solve(B)
     product = system.product or (lambda x, y: (K @ x + B @ y, C @ x + Dmat @ y))
-    return BorderedLU(lu, W, Dmat - C @ W, C, product)
+    return BorderedLU(lu, W, Dmat - C @ W, C, product, condensed)

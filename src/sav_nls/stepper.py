@@ -14,11 +14,12 @@ G1 dU + (X2 + i Y2) conj dU of the derivatives g1, g2 of g(U) U, plus the rank-o
 derivative of each stage's SAV denominator d_j, folded into the border rows by solving for
 z_j = dR_j - R_j sigma_j / (2 d_j) with sigma_j = Re<N_j, dU_j>.  One quadrature kernel,
 _integrals, gives N, the element data of G1, X2, Y2 and the pointwise part's products.
-The real unknowns are u_stages.T viewed as float64, (dof, 2j + s); the Jacobian is written
-straight into LAPACK band storage, dof 0's unknowns in the border, and its solve is checked
-by applying it in stage form, the pointwise part by quadrature.  An exact step's factored
-Jacobian serves the chord steps after it, across slabs (see advance).  The linear
-(kappa = 0) problem short-circuits to one complex solve; all slabs of a run share one Slab.
+The real unknowns are u_stages.T viewed as float64, (dof, 2j + s); the Jacobian's main block
+is given as dense element blocks, whose interiors linsolve condenses out before a banded LU
+on the vertices, and every solve is checked by applying the full system in stage form, the
+pointwise part by quadrature.  An exact step's factored Jacobian serves the chord steps
+after it, across slabs (see advance).  The linear (kappa = 0) problem short-circuits to one
+complex solve; all slabs of a run share one Slab.
 """
 
 import numbers
@@ -29,10 +30,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .collocation import MAX_ORDER, collocation_scheme
-from .errors import ConfigurationError, ModelError, NumericalError, StepError
+from .errors import ConfigurationError, ModelError, NumericalError, SolverError, StepError
 from .fem import (assemble_mass, assemble_stiffness, basis_tables, element_coefficients,
-                  interpolate, matrix_pattern, scatter_matrix, scatter_vector)
-from .linsolve import Band, BorderedSystem, factor, factor_bordered, solve_bordered
+                  element_matrices, interpolate, matrix_pattern, scatter_vector)
+from .fem import scatter_matrix  # noqa: F401  unused; perfbench's PATCH_POINTS patches it
+from .linsolve import (BorderedSystem, Elements, element_layout, factor, factor_bordered,
+                       solve_bordered)
 from .model import SavState, g_derivatives, g_times_u, r_init
 
 THETA_MAX, KAPPA = 0.1, 1e-4   # a kept linearization's bound and Newton's stop; see advance
@@ -94,24 +97,19 @@ class Slab:
             raise ConfigurationError(f"collocation scheme of order {order} for k={self.cfg.k}")
 
     @cached_property
-    def band_slots(self):
-        """Half-bandwidth w of the dof-major Newton main block; base, the slot in its flat
-        band storage of each pattern entry (r, c) in real-form block (0, 0); and the
-        positions and r, c of the entries in dof 0's column and row.  Block (a, b) adds
-        b ld + a - b (ld = 3w + 1) to the slot (c - 1) 2k ld + 2w + (r - c) 2k of band entry
-        ((r - 1) 2k + a, (c - 1) 2k + b); an entry of dof 0 lands in 2k columns past the band.
-        Last, that storage, which each exact step zeroes, fills and factors in place."""
-        pattern, k = self.asm.pattern, self.cfg.k
-        n = len(pattern.indptr) - 1
-        r = np.repeat(np.arange(n), np.diff(pattern.indptr))
-        c = pattern.indices.astype(np.int64)
-        inner = (r > 0) & (c > 0)
-        width = int(((np.abs(r - c) + 1) * 2 * k - 1)[inner].max(initial=0))
-        ld = 3 * width + 1
-        base = np.where(inner, (c - 1) * 2 * k * ld + 2 * width + (r - c) * 2 * k,
-                        ld * 2 * k * (n - 1))
-        col0, row0 = np.flatnonzero(c == 0), np.flatnonzero(r == 0)
-        return width, base, (col0, r[col0]), (row0, c[row0]), np.empty(ld * 2 * k * n)
+    def elements(self):
+        """The Newton main block's element data, on each element's nodes in the order perm
+        (its first, its last, then the rest): the linsolve.Layout of their unknowns (dof d's
+        are 2k d + 2j + s, -1 on a constrained node), the linear part i alpha (x) M_e + A_e
+        of the element's real-form block and perm."""
+        k, space, p = self.cfg.k, self.asm.space, self.asm.space.degree
+        perm = np.r_[0, p, 1:p]
+        dm = space.dof_map[:, perm, None]
+        index = np.where(dm >= 0, 2 * k * dm + np.arange(2 * k), -1).reshape(len(dm), -1)
+        mass, stiff = (m[np.ix_(perm, perm)] for m in element_matrices(space))
+        alpha = (2.0 / self.cfg.tau) * self.scheme.diff_matrix[:, 1:]
+        return (element_layout(index, 2 * k, k), perm,
+                np.kron(mass, np.kron(alpha, [[0, -1], [1, 0]])) + np.kron(stiff, np.eye(2 * k)))
 
     @cached_property
     def linear_block(self):
@@ -159,22 +157,29 @@ class TrajectorySummary:
     scheme: object
 
 
+def _apply(op, vectors):
+    """A real FE operator applied to (k, n) complex stage vectors, as (n, k): on their
+    float64 view, which gives the bits of the complex product without casting op."""
+    return (op @ np.ascontiguousarray(vectors.T).view(np.float64)).view(np.complex128)
+
+
 def _linear_residual(slab, state, u_stages):
     """Stage time derivatives du (k, ndof) and the linear residual i M du + A U."""
     nodal_u = np.vstack([state.u[None, :], u_stages])
     du = (2.0 / slab.cfg.tau) * (slab.scheme.diff_matrix @ nodal_u)
-    return du, (1j * (slab.asm.mass @ du.T) + slab.asm.stiff @ u_stages.T).T
+    return du, (1j * _apply(slab.asm.mass, du) + _apply(slab.asm.stiff, u_stages)).T
 
 
 def _integrals(asm, values, matrices=False):
     """FE data of pointwise values on asm's quadrature grid, taken stage by stage as (M, nq)
     arrays (a batch over the stages raised peak RSS): the load vectors (k, n) of int values
-    phi_i dx, or with `matrices` the CSR data (k, nnz) of int values phi_l phi_n dx."""
+    phi_i dx, or with `matrices` the element matrices (k, M, p+1, p+1) of int values
+    phi_l phi_n dx."""
     wh_phi = asm.space.mesh.h * asm.quad_wts[:, None] * asm.phi   # (nq, p+1)
     if not matrices:
         return np.stack([scatter_vector(asm.space, v @ wh_phi) for v in values])
     table = wh_phi[:, :, None] * asm.phi[:, None, :]   # (nq, p+1, p+1)
-    return np.stack([scatter_matrix(asm.pattern, np.tensordot(v, table, 1)).data for v in values])
+    return np.stack([np.tensordot(v, table, 1) for v in values])
 
 
 def _stage_data(slab, state, unknowns, need_jacobian):
@@ -211,92 +216,70 @@ def _residual_norm(res_u, res_r):
     return float(max(np.linalg.norm(res_u, axis=1).max(), np.abs(res_r).max()))
 
 
-def _split_dof0(vectors):
-    """(k, n) complex stage vectors as the Newton system numbers their real parts: the
-    (n, 2k) float64 view of vectors.T, column 2j + s, whose rows 1..n-1 are the band's
-    unknowns (d - 1) 2k + 2j + s and whose row 0 holds dof 0's, which are in the border."""
-    parts = np.ascontiguousarray(vectors.T).view(np.float64)
-    return parts[1:].ravel(), parts[0]
+def _real_unknowns(vectors):
+    """(k, n) complex stage vectors as the Newton system numbers its real unknowns: the
+    float64 view of vectors.T, dof-major, unknown 2k d + 2j + s."""
+    return np.ascontiguousarray(vectors.T).view(np.float64).ravel()
 
 
-def _stage_vectors(x_band, x_dof0):
-    """Inverse of _split_dof0: (k, n) complex stage vectors."""
-    parts = np.concatenate([x_dof0, x_band]).view(np.complex128)
-    return np.ascontiguousarray(parts.reshape(-1, len(x_dof0) // 2).T)
+def _stage_vectors(x, k):
+    """Inverse of _real_unknowns: (k, n) complex stage vectors."""
+    return np.ascontiguousarray(x.view(np.complex128).reshape(-1, k).T)
 
 
 def _newton_rhs(data):
     """(rhs_main, rhs_border) of the Newton system: minus the collocation residual."""
-    band, dof0 = _split_dof0(-data["res_u"])
-    return band, np.concatenate([dof0, -data["res_r"]])
+    return _real_unknowns(-data["res_u"]), -data["res_r"]
 
 
 def _assemble_newton_system(slab, unknowns, data):
-    """Bordered real-form Jacobian at the current iterate, in
-    the unknowns (dU, z) with z = dR - R sigma / (2 d); see the module docstring.
-    The main block is the band of the unknowns of dofs 1..n-1; dof 0's 2k unknowns
-    join the k of z in the border: B' = [K_io, B], C' = [[K_oi], [C]] and
-    Dmat' = [[K_oo, B_o], [C_o, Dmat]], with _i and _o the band and dof 0 parts.
-    B'^T and C' are written as (3k, n, 2k) arrays, numbered as _split_dof0's unknowns."""
+    """Bordered real-form Jacobian at the current iterate, in the unknowns (dU, z) with
+    z = dR - R sigma / (2 d); see the module docstring.  The main block is given as its
+    element blocks, the border B (columns -N_j) and C (rows) over all of dU's unknowns."""
     R, asm = unknowns.r_stages, slab.asm
     n, k = asm.space.num_dofs, len(R)
-    Md, Ad = asm.mass.data, asm.stiff.data
     alpha = (2.0 / slab.cfg.tau) * slab.scheme.diff_matrix[:, 1:]   # (k, k), stage coupling
     N, du, (g1, g2) = data["N"], data["du"], data["g"]
-    G1, X2, Y2 = (_integrals(asm, part, True) for part in (g1, g2.real, g2.imag))
-    width, base, (col0, col0_r), (row0, row0_c), flat = slab.band_slots
-    ld, ni = 3 * width + 1, 2 * k * (n - 1)
-    flat.fill(0.0)
-    Bt, Ct = np.zeros((3 * k, n, 2 * k)), np.zeros((3 * k, n, 2 * k))
+    layout, perm, linear = slab.elements
+    blocks = np.tile(linear, (len(layout.index), 1, 1))
+    J = blocks.reshape(len(blocks), -1, 2 * k, len(perm), 2 * k)   # [e, l, 2j + s, l', 2m + s']
+    G = (_integrals(asm, part, True)[..., perm[:, None], perm] for part in (g1, g2.real, g2.imag))
+    for j, (G1, X2, Y2) in enumerate(zip(*G)):   # stage j's 2 x 2 real block [s, s']
+        J[:, :, 2 * j:2 * j + 2, :, 2 * j:2 * j + 2] -= R[j] * np.stack(
+            [np.stack([G1 + X2, Y2], -1), np.stack([Y2, G1 - X2], -1)], 2)
 
     def apply_g(v):   # G1_j v_j + (X2_j + i Y2_j) conj v_j of stage vectors v, by quadrature
         v_q = (element_coefficients(asm.space, v_j) @ asm.phi.T for v_j in v)
         return _integrals(asm, (a * q + b * q.conj() for a, b, q in zip(g1, g2, v_q)))
 
-    def put(a, b, values):   # block (a, b) of the real form, on asm.pattern
-        flat[b * ld + a - b:][base] = values   # at base + b ld + a - b, with no index sum
-        Bt[b, col0_r, a] = values[col0]
-        Ct[a, row0_c, b] = values[row0]
-
     N_parts, G_parts = (np.stack([v.real, v.imag], -1) for v in (N, apply_g(du)))   # (k, n, 2)
     stages = np.arange(k)
-    Bt[2 * k:].reshape(k, n, k, 2)[stages, :, stages] = -N_parts
-
+    Bt, C = np.zeros((2, k, n, k, 2))   # B^T and C, as [j, dof, m, s]
+    Bt[stages, :, stages] = -N_parts
     # with dR = z + R sigma / (2 d), B's column -N_j times z_j carries the denominator's
     # term R_j N_j sigma_j / (2 d_j) of the u rows; border row j gains lift[j, m] sigma_m
     lift = alpha * (R / (2.0 * data["denoms"])) + np.diag(
         0.25 * np.real(np.einsum("ki,ki->k", N, du.conj())) / data["denoms"])
-    C = Ct[2 * k:].reshape(k, n, k, 2)   # C in the storage of C', as [j, dof, m, s]
     for j in range(k):
         C[:, :, j] = -0.5 * alpha[:, j, None, None] * N_parts + lift[:, j, None, None] * N_parts[j]
-        put(2 * j, 2 * j, Ad - R[j] * (G1[j] + X2[j]))
-        put(2 * j + 1, 2 * j + 1, Ad - R[j] * (G1[j] - X2[j]))
-        for m in range(k):
-            top, bottom = -alpha[j, m] * Md, alpha[j, m] * Md
-            if m == j:
-                top, bottom = top - R[j] * Y2[j], bottom - R[j] * Y2[j]
-            put(2 * j, 2 * m + 1, top)
-            put(2 * j + 1, 2 * m, bottom)
     C[stages, :, stages] -= 0.5 * G_parts
-    B_band, C_band = [np.ascontiguousarray(T[:, 1:]).reshape(3 * k, -1) for T in (Bt, Ct)]
-    D_wide = np.block([[Ct[:2 * k, 0], Bt[2 * k:, 0].T], [Ct[2 * k:, 0], alpha]])
+    C = C.reshape(k, -1)
 
-    def product(x_band, x_border):   # the system in stage form, reading neither the band, nor
-        # the wrap, nor G: i alpha M dU + A dU - R_j (G1_j dU + (X2_j + i Y2_j) conj dU) - N z
-        dU, z = _stage_vectors(x_band, x_border[:2 * k]), x_border[2 * k:]
-        rows = (1j * (asm.mass @ (alpha @ dU).T) + asm.stiff @ dU.T).T - z[:, None] * N
-        rows -= R[:, None] * apply_g(dU)
-        band, dof0 = _split_dof0(rows)
-        return band, np.concatenate([dof0, C_band[2 * k:] @ x_band + D_wide[2 * k:] @ x_border])
+    def product(x_main, z):   # the system in stage form, reading neither the element blocks
+        # nor G: i alpha M dU + A dU - R_j (G1_j dU + (X2_j + i Y2_j) conj dU) - N z
+        dU = _stage_vectors(x_main, k)
+        rows = 1j * _apply(asm.mass, alpha @ dU) + _apply(asm.stiff, dU) - N.T * z
+        rows -= (R[:, None] * apply_g(dU)).T
+        return rows.view(np.float64).ravel(), C @ x_main + alpha @ z
 
-    return BorderedSystem(K=Band(flat[:ld * ni].reshape((ld, ni), order="F"), width),
-                          B=B_band.T, C=C_band, Dmat=D_wide, product=product)
+    return BorderedSystem(K=Elements(blocks, layout), B=Bt.reshape(k, -1).T, C=C,
+                          Dmat=alpha, product=product)
 
 
 def _increment_norm(asm, delta_u, delta_r):
     """max over stages of the mass-weighted L2 norm of dU and |dR|."""
-    M = asm.mass
-    l2 = [np.sqrt(d.real @ (M @ d.real) + d.imag @ (M @ d.imag)) for d in delta_u]
+    l2 = [np.sqrt(d.real @ Md.real + d.imag @ Md.imag)
+          for d, Md in zip(delta_u, _apply(asm.mass, delta_u).T)]
     return float(max(max(l2), np.abs(delta_r).max()))
 
 
@@ -311,11 +294,10 @@ class Linearization:
 
     def step(self, data):
         """The increment (delta_u, delta_r) that cancels the residual of _stage_data's `data`."""
-        x_main, x_border, _ = solve_bordered(self.factors, *_newton_rhs(data))
-        k = len(self.R)
-        delta_u = _stage_vectors(x_main, x_border[:-k])
+        x_main, z, _ = solve_bordered(self.factors, *_newton_rhs(data))
+        delta_u = _stage_vectors(x_main, len(self.R))
         sigma = np.real(np.einsum("ki,ki->k", self.N.conj(), delta_u))
-        return delta_u, x_border[-k:] + self.R / (2.0 * self.denoms) * sigma
+        return delta_u, z + self.R / (2.0 * self.denoms) * sigma
 
 
 def newton_step(slab, state, unknowns, lin=None):
@@ -342,16 +324,18 @@ def advance(slab, state, previous=None):
 
     Newton keeps a linearization (Knoll & Keyes, J. Comput. Phys. 193, 2004), the one in
     `previous`, a Carry, then each exact step's, for the chord steps after it on this and
-    later slabs, until a chord step contracts by theta = e_n / e_{n-1} > THETA_MAX or raises a
-    NumericalError; the next step is then exact.  Newton stops at an exact e <= newton_tol,
-    or at a chord estimate theta / (1 - theta) e (e before a theta) <= KAPPA newton_tol
-    (Hairer & Wanner, Solving ODEs II, IV.8).  A chord step costs 1/8 of an exact one on
-    soliton_fine, and THETA_MAX = 0.1 asks a digit of it; KAPPA = 1e-4 stops near the
-    increments' roundoff, as an exact step's e^2 / 2 does, and so keeps the drifts at
-    roundoff (README, "Newton").  Newton starts from the polynomial of the slab whose start
-    state and stages `previous` holds, and again from the constant value state with an exact
-    step if that fails; the last start's failure is a StepError with the slab's increment
-    history.  kappa = 0 ignores `previous`.
+    later slabs, until a chord step contracts by theta = e_n / e_{n-1} > THETA_MAX or its
+    solve fails (SolverError, StepError); the next step is then exact, from the same iterate.
+    A chord step's ModelError is the iterate's, and goes to the restart as an exact step's
+    does.  Newton stops at an exact e <= newton_tol, or at a chord estimate
+    theta / (1 - theta) e (e before a theta) <= KAPPA newton_tol (Hairer & Wanner, Solving
+    ODEs II, IV.8).  A chord step costs 1/8 of an exact one on soliton_fine, and
+    THETA_MAX = 0.1 asks a digit of it; KAPPA = 1e-4 stops near the increments' roundoff, as
+    an exact step's e^2 / 2 does, and so keeps the drifts at roundoff (README, "Newton").
+    Newton starts from the polynomial of the slab whose start state and stages `previous`
+    holds, and again from the constant value state with an exact step if that fails; the
+    last start's failure is a StepError with the slab's increment history.  kappa = 0
+    ignores `previous`.
     """
     cfg, scheme = slab.cfg, slab.scheme
     tau, k, tol = cfg.tau, cfg.k, cfg.newton_tol
@@ -381,7 +365,7 @@ def advance(slab, state, previous=None):
                     factorizations += not chord
                     try:
                         unknowns, e, step_clamped, lin = newton_step(slab, state, unknowns, lin)
-                    except NumericalError if chord else ():   # refresh from this iterate
+                    except (SolverError, StepError) if chord else ():   # refresh, same iterate
                         lin = None
                         continue
                     history[-1], clamped = e, clamped + step_clamped

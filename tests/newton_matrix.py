@@ -1,6 +1,6 @@
 """Helpers of the stepper tests: the Slab of a test's operators, the stage-major
 real parts of stage vectors, the full real-form Newton matrix, rebuilt from
-the band and border that stepper._assemble_newton_system writes, for tests that
+the element blocks and border that stepper._assemble_newton_system writes, for tests that
 compare it with references assembled in other ways, and the per-stage einsums and
 sparse matvecs that the stepper's quadrature kernel replaced, as its reference."""
 
@@ -20,28 +20,25 @@ def real_parts(vectors):
     return np.stack([vectors.real, vectors.imag], axis=1).reshape(-1)
 
 
-def band_order(n, k):
-    """order[i]: the stage-major index (2j + s) n + dof of the Newton system's unknown
-    i: the band's (dofs 1..n-1, dof-major), dof 0's 2k, then the k SAV unknowns."""
+def stage_order(n, k):
+    """order[i]: the stage-major index (2j + s) n + dof of the Newton system's unknown i:
+    dU's (dof-major, 2k d + 2j + s), then the k SAV unknowns."""
     stage = np.arange(2 * k * n).reshape(2 * k, n)
-    return np.concatenate([stage[:, 1:].T.ravel(), stage[:, 0], 2 * k * n + np.arange(k)])
+    return np.concatenate([stage.T.ravel(), 2 * k * n + np.arange(k)])
 
 
 def real_form_matrix(system):
     """[[K, B], [C, Dmat]] of the Newton system, dense and in stage-major order, as
-    sp.bmat of the real-form blocks lays it out; read before a solve overwrites the
-    band and B.  Every band slot off the matrix, and dgbtrf's fill-in rows, must be 0."""
-    ab, w = system.K.ab, system.K.width
-    ni, nb = ab.shape[1], len(system.Dmat)
-    i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(ni), np.arange(ni))) <= w)
-    used = np.zeros(ab.shape, dtype=bool)
-    used[2 * w + i - j, j] = True
-    assert not ab[~used].any()
-    wide = np.zeros((ni + nb, ni + nb))
-    wide[i, j] = ab[2 * w + i - j, j]
+    sp.bmat of the real-form blocks lays it out: K summed from the element blocks (which
+    no solve overwrites), the entries of a constrained node (index -1) dropped, and the
+    border."""
+    blocks, index = system.K.blocks, system.K.layout.index
+    ni, k = len(system.B), len(system.Dmat)
+    wide = np.zeros((ni + k + 1, ni + k + 1))   # the last row and column: index -1
+    np.add.at(wide, (index[:, :, None], index[:, None, :]), blocks)
+    wide = wide[:-1, :-1]
     wide[:ni, ni:], wide[ni:, :ni], wide[ni:, ni:] = system.B, system.C, system.Dmat
-    k = nb // 3
-    order = band_order(ni // (2 * k) + 1, k)
+    order = stage_order(ni // (2 * k), k)
     full = np.empty_like(wide)
     full[np.ix_(order, order)] = wide
     return full
@@ -49,24 +46,26 @@ def real_form_matrix(system):
 
 def to_stage_order(x_main, x_border):
     """A solution (x_main, x_border) of the Newton system in stage-major order."""
-    k = len(x_border) // 3
-    x = np.empty(len(x_main) + len(x_border))
-    x[band_order(len(x_main) // (2 * k) + 1, k)] = np.concatenate([x_main, x_border])
+    k = len(x_border)
+    x = np.empty(len(x_main) + k)
+    x[stage_order(len(x_main) // (2 * k), k)] = np.concatenate([x_main, x_border])
     return x
 
 
-def stage_matrices(asm, g):
-    """[G1, X2, Y2], each a list of k CSR matrices int (g1, Re g2, Im g2) phi_l phi_n dx of
-    the pointwise values g = (g1, g2), (k, M, nq) each: one 4-operand einsum per stage and
-    part, as the stepper assembled them before its quadrature kernel."""
+def stage_element_matrices(asm, g):
+    """[G1, X2, Y2], each (k, M, p+1, p+1): the element matrices int (g1, Re g2, Im g2)
+    phi_l phi_n dx of the pointwise values g = (g1, g2), (k, M, nq) each, by one 4-operand
+    einsum per stage and part, as the stepper computed them before its quadrature kernel."""
     wh = asm.space.mesh.h * asm.quad_wts
-    mats = [[], [], []]
-    for g1, g2 in zip(*g):
-        loc1 = np.einsum("mq,q,ql,qn->mln", g1.real, wh, asm.phi, asm.phi)
-        loc2 = np.einsum("mq,q,ql,qn->mln", g2, wh, asm.phi, asm.phi)
-        for parts, local in zip(mats, (loc1, loc2.real, loc2.imag)):
-            parts.append(scatter_matrix(asm.pattern, local))
-    return mats
+    loc1 = np.einsum("kmq,q,ql,qn->kmln", g[0].real, wh, asm.phi, asm.phi)
+    loc2 = np.einsum("kmq,q,ql,qn->kmln", g[1], wh, asm.phi, asm.phi)
+    return [loc1, loc2.real, loc2.imag]
+
+
+def stage_matrices(asm, g):
+    """[G1, X2, Y2], each a list of k CSR matrices: stage_element_matrices assembled."""
+    return [[scatter_matrix(asm.pattern, local) for local in part]
+            for part in stage_element_matrices(asm, g)]
 
 
 def apply_g(G1, X2, Y2, v):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,8 +9,8 @@ from sav_nls import linsolve, stepper
 from sav_nls.collocation import collocation_scheme
 from sav_nls.errors import SolverError
 from sav_nls.fem import (DIRICHLET, PERIODIC, assemble_mass, assemble_stiffness, build_space,
-                         matrix_pattern, scatter_matrix)
-from sav_nls.linsolve import (RESIDUAL_TOL, BandLU, BorderedLU, BorderedSystem, factor,
+                         matrix_pattern)
+from sav_nls.linsolve import (RESIDUAL_TOL, BandLU, BorderedLU, BorderedSystem, Elements, factor,
                               factor_bordered, solve_bordered)
 from sav_nls.model import SavState, power_law
 from sav_nls.stepper import (Assemblies, SlabUnknowns, _assemble_newton_system, _newton_rhs,
@@ -164,29 +166,77 @@ def _newton_system(p, k, bc, M, seed):
     return _assemble_newton_system(slab, unk, data), _newton_rhs(data)
 
 
+def _condensed_matrix(system):
+    """[[K, B'], [C', Dmat']] of a condensed BorderedSystem, dense, read from its band
+    before factoring overwrites it; every band slot off the matrix must be 0."""
+    ab, w = system.K.ab, system.K.width
+    nb, nk = ab.shape[1], len(system.Dmat)
+    i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(nb), np.arange(nb))) <= w)
+    used = np.zeros(ab.shape, dtype=bool)
+    used[2 * w + i - j, j] = True
+    assert not ab[~used].any()
+    dense = np.zeros((nb + nk, nb + nk))
+    dense[i, j] = ab[2 * w + i - j, j]
+    dense[:nb, nb:], dense[nb:, :nb], dense[nb:, nb:] = system.B, system.C, system.Dmat
+    return dense
+
+
+def _condensed_order(system):
+    """The Newton system's unknowns in the condensed order: the band's vertex unknowns,
+    the first vertex's and the SAV ones, then the interiors."""
+    lay, n = system.K.layout, len(system.B)
+    return np.concatenate([lay.vertex, n + np.arange(len(system.Dmat)), lay.interior.ravel()])
+
+
 @pytest.mark.parametrize("M", [2, 5])
 @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_banded_newton_solve_matches_splu(p, k, bc, M):
-    # M = 2 puts the periodic wrap next to the band's edge; a factorization that solved
-    # one right-hand side gives the bits of a fresh one's solve of another, and another
-    # matrix's factors fail the check
+def test_condensed_newton_solve_matches_splu(p, k, bc, M, monkeypatch):
+    # the element interiors condensed out: the band holds the vertices but the first one,
+    # with half-bandwidth 4k - 1, and the border the first vertex's 2k unknowns (the
+    # periodic wrap) and the k SAV ones.  The condensed matrix is the Schur complement
+    # of the full one's interiors (for p = 1, which has none, the full matrix, bit for
+    # bit), and its solve matches splu of the full bordered matrix.  A factorization that
+    # solved one right-hand side gives the bits of a fresh one's solve of another, and
+    # another matrix's factors fail the check
     seed = 100 * p + 10 * k + M + (bc == DIRICHLET)
     system, (rhs_main, rhs_border) = _newton_system(p, k, bc, M, seed)
-    width = 2 * k * (p + 1) - 1   # of dof-major unknowns; at M = 2 no two band dofs are p apart
-    assert system.K.width == width if M > 2 else system.K.width < width
-    full = real_form_matrix(system)   # before factoring overwrites the band and B
+    assert isinstance(system.K, Elements)
+    full, order = real_form_matrix(system), _condensed_order(system)
+    condensed, condense = [], linsolve._condense
+
+    def recording(system):
+        condensed.append(condense(system))
+        condensed.append(_condensed_matrix(condensed[0][0]))
+        return condensed[0]
+
+    monkeypatch.setattr(linsolve, "_condense", recording)
     lu = factor_bordered(system)
-    assert isinstance(lu.lu, BandLU) and lu.S.shape == (3 * k, 3 * k)
+    assert system.K is None   # consumed
+    (reduced, cond), dense = condensed
+    vertices = M if bc == PERIODIC else M - 1
+    assert reduced.K.width == 4 * k - 1 and reduced.K.ab.shape[1] == 2 * k * (vertices - 1)
+    assert isinstance(lu.lu, BandLU) and lu.S.shape == (3 * k, 3 * k) and lu.condensed is cond
+    stage = np.argsort(to_stage_order(np.arange(len(rhs_main)), len(rhs_main) + np.arange(k)))
+    permuted = full[np.ix_(stage[order], stage[order])]
+    nv = len(dense)
+    if p == 1:
+        assert np.array_equal(dense, permuted)
+    else:
+        (A, Bm), (Cm, D) = [[permuted[rows, cols] for cols in (slice(nv), slice(nv, None))]
+                            for rows in (slice(nv), slice(nv, None))]
+        schur = A - Bm @ np.linalg.solve(D, Cm)
+        assert np.abs(dense - schur).max() <= 1e-10 * np.abs(schur).max()
     sol = lu.solve(rhs_main, rhs_border)
     rhs = to_stage_order(rhs_main, rhs_border)
     ref = spla.splu(sp.csc_matrix(full)).solve(rhs)
     x = to_stage_order(sol.x_main, sol.x_border)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    monkeypatch.undo()
     rng = np.random.default_rng(seed + 1)
-    again = rng.standard_normal(len(rhs_main)), rng.standard_normal(3 * k)
+    again = rng.standard_normal(len(rhs_main)), rng.standard_normal(k)
     fresh = factor_bordered(_newton_system(p, k, bc, M, seed)[0]).solve(*again)
     kept = solve_bordered(lu, *again)
     np.testing.assert_array_equal(kept.x_main, fresh.x_main)
@@ -195,12 +245,12 @@ def test_banded_newton_solve_matches_splu(p, k, bc, M):
 
     other = factor_bordered(_newton_system(p, k, bc, M, seed + 2)[0])
     with pytest.raises(SolverError, match="residual"):
-        BorderedLU(other.lu, other.W, other.S, lu.C, lu.product).solve(rhs_main, rhs_border)
+        replace(other, product=lu.product).solve(rhs_main, rhs_border)
 
 
 def test_band_is_factored_in_place(monkeypatch):
-    # a copy of the band (a C-ordered one, which dgbtrf copies silently) or of
-    # W = K^-1 B' would cost several MB of peak RSS at the benchmark's size
+    # a copy of the condensed band (a C-ordered one, which dgbtrf copies silently) or of
+    # W = K^-1 B' would cost MB of peak RSS at the benchmark's size
     k = 3
     system, (rhs_main, _) = _newton_system(3, k, PERIODIC, 40, 0)
     factored, solved, solve = [], [], BandLU.solve
@@ -217,12 +267,12 @@ def test_band_is_factored_in_place(monkeypatch):
     monkeypatch.setattr(BandLU, "solve", recording_solve)
     factors = factor_bordered(system)
     (band, lu), = factored
-    assert band is system.K and band.ab.flags.f_contiguous
+    assert band.ab.flags.f_contiguous and band.ab.shape[1] == 2 * k * 39
     assert lu is factors.lu and np.shares_memory(band.ab, lu.lu)
-    B_wide, W = solved[0]   # B' = [K_io, B]: dof 0's 2k unknowns joined the k SAV ones
-    assert B_wide is system.B and B_wide.flags.f_contiguous
+    B_wide, W = solved[0]   # B': the first vertex's 2k unknowns joined the k SAV ones
+    assert B_wide.flags.f_contiguous and np.shares_memory(B_wide, band.ab.base)
     assert W is factors.W and np.shares_memory(B_wide, W)   # W = K^-1 B' in B's storage
-    assert W.shape == system.B.shape == (len(rhs_main), 3 * k)
+    assert W.shape == (2 * k * 39, 3 * k)
 
 
 def test_a_wrong_band_entry_fails_the_residual_check(monkeypatch):
@@ -238,32 +288,62 @@ def test_a_wrong_band_entry_fails_the_residual_check(monkeypatch):
         factor_bordered(system).solve(*rhs)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_a_wrong_element_inverse_fails_the_residual_check(p, monkeypatch):
+    # the check never reads K_II^-1 of an element; for p = 1 there is no interior to invert
+    inv = np.linalg.inv
+
+    def perturbed(a):
+        out = inv(a)
+        if out.size:
+            out[len(out) // 2, 0, -1] += 1e-6 * np.abs(out[len(out) // 2]).max()
+        return out
+
+    system, rhs = _newton_system(p, 2, PERIODIC, 6, 30 + p)
+    monkeypatch.setattr(np.linalg, "inv", perturbed)
+    if p == 1:
+        factor_bordered(system).solve(*rhs)
+        return
+    with pytest.raises(SolverError, match="residual"):
+        factor_bordered(system).solve(*rhs)
+
+
 @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_a_wrong_element_matrix_fails_the_residual_check(k, bc, monkeypatch):
-    # the band takes the CSR data of the element matrices int g phi_l phi_n dx, while the
+    # the element blocks take the kernel's element matrices int g phi_l phi_n dx, while the
     # check applies the Jacobian's pointwise part by quadrature on the values g themselves
-    def perturbed(pattern, local):
-        matrix = scatter_matrix(pattern, local)
-        matrix.data[len(matrix.data) // 2] += 1e-6 * np.abs(matrix.data).max()
-        return matrix
+    integrals = stepper._integrals
 
-    monkeypatch.setattr(stepper, "scatter_matrix", perturbed)
+    def perturbed(asm, values, matrices=False):
+        out = integrals(asm, values, matrices)
+        if matrices:
+            out[0, 2, 1, 0] += 1e-6 * np.abs(out).max()
+        return out
+
+    monkeypatch.setattr(stepper, "_integrals", perturbed)
     system, rhs = _newton_system(2, k, bc, 6, 20 + k)
     with pytest.raises(SolverError, match="residual"):
         factor_bordered(system).solve(*rhs)
 
 
 @pytest.mark.parametrize("part", ["B", "C", "Dmat"])
-def test_a_wrong_wrap_entry_fails_the_residual_check(part):
-    # the periodic wrap's entries (K_io in B', K_oi in C', K_oo in Dmat') are
-    # copies that only the solve reads; the check applies the stage form
-    k = 2
+def test_a_wrong_wrap_entry_fails_the_residual_check(part, monkeypatch):
+    # the periodic wrap's entries (the first vertex's coupling to the last band vertex in
+    # B' and C', its own block in Dmat') exist only in the condensed system, which only
+    # the solve reads; the check applies the full system in stage form
+    k, condense = 2, linsolve._condense
+
+    def corrupting(system):
+        reduced, cond = condense(system)
+        wrap = {"B": reduced.B[-2 * k:, :2 * k], "C": reduced.C[:2 * k, -2 * k:],
+                "Dmat": reduced.Dmat[:2 * k, :2 * k]}[part]
+        i, j = np.argwhere(wrap != 0)[-1]
+        wrap[i, j] *= 1.0 + 1e-6
+        return reduced, cond
+
     system, rhs = _newton_system(2, k, PERIODIC, 6, 8)
-    wrap = {"B": system.B[:, :2 * k], "C": system.C[:2 * k],
-            "Dmat": system.Dmat[:2 * k, :2 * k]}[part]
-    i, j = np.argwhere(wrap != 0)[-1]   # in B' and C', a coupling across the wrap
-    wrap[i, j] *= 1.0 + 1e-6
+    monkeypatch.setattr(linsolve, "_condense", corrupting)
     with pytest.raises(SolverError, match="residual"):
         factor_bordered(system).solve(*rhs)
 
