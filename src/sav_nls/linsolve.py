@@ -34,46 +34,17 @@ class Band(NamedTuple):
     width: int   # half-bandwidth, below and above the diagonal
 
 
-class Layout(NamedTuple):
-    """Where element blocks go, condensed (element_layout)."""
-
-    index: np.ndarray      # (M, nl): each element's unknowns, -1 for a dropped one
-    interior: np.ndarray   # (M, nl - 2b): index[:, 2b:]
-    vertex: np.ndarray     # the vertex unknowns in condensed order
-    slots: np.ndarray      # (M, 2b + k): condensed position of each vertex and border unknown
-    flat: np.ndarray       # (M, 2b + k, 2b + k): storage slot of each entry of their block
-    starts: np.ndarray     # of the band, B', [C' Dmat'] and a dropped slot in that storage
-    size: int              # of the band
-
-
 class Elements(NamedTuple):
-    """A square matrix summed from dense element blocks: blocks[e] adds at the rows and
-    columns layout.index[e], where an index -1 drops its row and column."""
+    """A square matrix summed from the dense blocks of a chain of M elements, each with b
+    vertex and m = nl - 2b interior unknowns: element e's local unknowns are its first
+    vertex's, e s + [0, b) with s = b + m, its last vertex's, the next element's first (the
+    first element's, for the last one), and its interior's, e s + b + [0, m).  With
+    `dropped`, the first vertex's b unknowns are not in the matrix, whose unknown i is
+    i + b of the chain, and the blocks' rows and columns on them are ignored."""
 
     blocks: np.ndarray   # (M, nl, nl)
-    layout: Layout
-
-
-def element_layout(index, b, k):
-    """The Layout of element blocks on the unknowns `index` next to k border unknowns.  An
-    element's first b local unknowns are its first vertex, the next b its last, which is the
-    next element's first (the first element's, for the last one on a periodic mesh), and
-    the rest its interior, which no other element shares.  Condensed, the unknowns are the
-    band of the vertices but the first (block tridiagonal, half-bandwidth 2b - 1), then the
-    first vertex's, then the border's, and then a slot for a dropped one."""
-    vertex = np.roll(index[index[:, 0] >= 0, :b], -1, axis=0).ravel()   # the first one last
-    size, nb, w = len(vertex) - b, b + k, 2 * b - 1
-    position = np.full(index.max() + 2, size + nb)   # index -1 reads the last entry
-    position[vertex] = np.arange(size + b)
-    border = np.tile(size + b + np.arange(k), (len(index), 1))
-    slots = np.hstack([position[index[:, :2 * b]], border])
-    r, c = slots[:, :, None], slots[:, None, :]   # storage: band, B' (Fortran order), [C' Dmat']
-    ld = 3 * w + 1
-    starts = np.cumsum([0, ld * size, size * nb, nb * (size + nb)])
-    flat = np.where(r >= size, starts[2] + (r - size) * (size + nb) + c,
-                    np.where(c < size, c * ld + 2 * w + r - c, starts[1] + (c - size) * size + r))
-    flat[(r == size + nb) | (c == size + nb)] = starts[3]
-    return Layout(index, index[:, 2 * b:], vertex, slots, flat.astype(np.int32), starts, size)
+    b: int
+    dropped: bool = False
 
 
 @dataclass(frozen=True)
@@ -86,8 +57,6 @@ class BandLU:
 
     def solve(self, b):
         """K^-1 b for 1-D or 2-D b, in b's storage if b is Fortran-ordered float64."""
-        if len(b) == 0:   # dgbtrs rejects an empty band: every unknown is in the border
-            return b
         return dgbtrs(self.lu, self.width, self.width, b, self.piv, overwrite_b=1)[0]
 
 
@@ -130,35 +99,62 @@ class BorderedSolution(NamedTuple):
 
 
 def _matvecs(A, x):
-    return np.einsum("eij,ej->ei", A, x)   # A[e] @ x[e] for every element e
+    return (A @ x[:, :, None])[:, :, 0]   # A[e] @ x[e] for every element e
+
+
+def _block_band(diag, upper, lower):
+    """The Band of the block tridiagonal matrix with blocks diag (v, v), upper (v, v + 1)
+    and lower (v + 1, v), in storage of its own."""
+    nv, b = diag.shape[:2]
+    w, r, c = 2 * b - 1, np.arange(b)[:, None], np.arange(b)
+    store = np.zeros((nv, b, 3 * w + 1))   # [block column, column, band row]
+    for d, blocks in ((0, diag), (1, upper), (-1, lower)):
+        store[max(d, 0):nv + min(d, 0), c, 2 * w + r - c - d * b] = blocks
+    return Band(store.reshape(nv * b, -1).T, w)
+
+
+def _chain(x, b, dropped):
+    """x (n, ...) on the unknowns of an Elements chain: a dropped vertex's b rows read 0."""
+    return np.concatenate([np.zeros((b,) + x.shape[1:]), x]) if dropped else x
 
 
 def _condense(system):
-    """The bordered system on the band of an Elements K's vertices, and (layout, K_II^-1,
-    [K_VI; C_I], K_II^-1 [K_IV, B_I]) of its elements, whose Schur complements it sums:
-    K_VV - K_VI K_II^-1 K_IV, B_V - K_VI K_II^-1 B_I, C_V - C_I K_II^-1 K_IV and
+    """The bordered system on the band of an Elements K's vertices but the first, whose b
+    unknowns join the border, as the last element wraps to them, and (K, L, Y): with
+    L = [K_VI; C_I] K_II^-1 and Y = K_II^-1 [I, -K_IV, -B_I] of each element, it sums the
+    Schur complements K_VV - L K_IV, B_V - L B_I, C_V - C_I K_II^-1 K_IV and
     Dmat - C_I K_II^-1 B_I, the border's entries at a vertex taken from the element that
-    it starts."""
-    (J, lay), B, C, Dmat = system.K, system.B, system.C, system.Dmat
+    it starts.  A dropped vertex gets the identity."""
+    (J, b, dropped), C, Dmat, k = system.K, system.C, system.Dmat, len(system.Dmat)
     system.K = None   # consumed, to free the blocks before the band is stored (peak RSS)
-    o, size, starts = J.shape[1] - lay.interior.shape[1], lay.size, lay.starts
-    b, nb = o // 2, o // 2 + len(Dmat)
+    M, o = len(J), 2 * b
+    B = _chain(system.B, b, dropped).reshape(M, -1, k)
+    C = _chain(C.T, b, dropped).reshape(M, -1, k).transpose(0, 2, 1)
+    if dropped:   # element 0's first vertex and the last element's last one
+        J[0, :b], J[0, :, :b], J[-1, b:o], J[-1, :, b:o] = 0.0, 0.0, 0.0, 0.0
     inv = np.linalg.inv(J[:, o:, o:])
-    left = np.concatenate([J[:, :o, o:], C[:, lay.interior].transpose(1, 0, 2)], axis=1)
-    X = inv @ np.concatenate([J[:, o:, :o], B[lay.interior]], axis=2)
-    S = -(left @ X)
+    L = np.concatenate([J[:, :o, o:], C[:, :, b:]], axis=1) @ inv
+    right = -np.concatenate([J[:, o:, :o], B[:, b:]], axis=2)
+    S = L @ right
     S[:, :o, :o] += J[:, :o, :o]
-    S[:, :b, o:] += B[lay.index[:, :b]]
-    S[:, o:, :b] += C[:, lay.index[:, :b]].transpose(1, 0, 2)
-    S[0, o:, o:] += Dmat
     del J
-    store = np.zeros(starts[3] + 1)
-    np.add.at(store, lay.flat, S)
-    band, right, bottom = np.split(store[:-1], starts[1:3])
-    bottom = bottom.reshape(nb, size + nb)
-    return (BorderedSystem(Band(band.reshape((3 * o - 2, size), order="F"), o - 1),
-                           right.reshape((size, nb), order="F"), bottom[:, :size],
-                           bottom[:, size:], system.product), (lay, inv, left, X))
+    S[:, :b, o:] += B[:, :b]
+    S[:, o:, :b] += C[:, :, :b]
+    Y = np.concatenate([inv, inv @ right], axis=2)
+    # vertex v's rows and columns: element v's first vertex and element v - 1's last
+    diag = S[:, :b, :b] + np.roll(S[:, b:o, b:o], 1, axis=0)
+    diag[0] += dropped * np.eye(b)
+    Bz = S[:, :b, o:] + np.roll(S[:, b:o, o:], 1, axis=0)
+    Cz = S[:, o:, :b] + np.roll(S[:, o:, b:o], 1, axis=0)
+    wide, bottom = np.zeros((b + k, (M - 1) * b)).T, np.zeros((b + k, (M - 1) * b))
+    wide[:b, :b] += S[0, b:o, :b]   # the wrap: vertex 0's couplings to vertices 1, M - 1
+    wide[-b:, :b] += S[-1, :b, b:o]
+    bottom[:b, :b] += S[0, :b, b:o]
+    bottom[:b, -b:] += S[-1, b:o, :b]
+    wide[:, b:], bottom[b:] = Bz[1:].reshape(-1, k), Cz[1:].transpose(1, 0, 2).reshape(k, -1)
+    D = np.block([[diag[0], Bz[0]], [Cz[0], S[:, o:, o:].sum(0) + Dmat]])
+    return (BorderedSystem(_block_band(diag[1:], S[1:-1, :b, b:o], S[1:-1, b:o, :b]), wide,
+                           bottom, D, system.product), (b, dropped, L, Y))
 
 
 @dataclass(frozen=True)
@@ -178,12 +174,12 @@ class BorderedLU:
         x_main = y - W x_border, on the condensed system if there is one.  The relative
         residual of the full system, applied by `product`, is verified against
         RESIDUAL_TOL (a NaN fails it) and returned."""
-        if self.condensed:   # y_I = K_II^-1 b_I; b_V, b_border -= [K_VI; C_I] y_I
-            lay, inv, left, X = self.condensed
-            y_I = _matvecs(inv, rhs_main[lay.interior])
-            g = np.concatenate([rhs_main[lay.vertex], rhs_border, [0.0]])
-            g -= np.bincount(lay.slots.ravel(), _matvecs(left, y_I).ravel(), len(g))
-            main, border = g[:lay.size], g[lay.size:-1]
+        if self.condensed:   # b_V, b_border -= L b_I, vertex v's from elements v and v - 1
+            b, dropped, L, Y = self.condensed
+            chain = _chain(rhs_main, b, dropped).reshape(len(L), -1)
+            c = _matvecs(L, chain[:, b:])
+            g = chain[:, :b] - c[:, :b] - np.roll(c[:, b:2 * b], 1, axis=0)
+            main, border = g[1:].ravel(), np.concatenate([g[0], rhs_border - c[:, 2 * b:].sum(0)])
         else:
             main, border = rhs_main.copy(), rhs_border   # rhs_main is kept for the residual
         y = self.lu.solve(main)
@@ -192,11 +188,12 @@ class BorderedLU:
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular Schur complement (degenerate r-coupling)") from exc
         x_main = y - self.W @ x_border
-        if self.condensed:   # x_I = y_I - K_II^-1 [K_IV, B_I] (x_V, x_border)
-            g = np.concatenate([x_main, x_border, [0.0]])
-            x_main, x_border = np.empty(len(rhs_main)), x_border[len(lay.vertex) - lay.size:]
-            x_main[lay.vertex] = g[:len(lay.vertex)]
-            x_main[lay.interior] = y_I - _matvecs(X, g[lay.slots])
+        if self.condensed:   # x_I = K_II^-1 (b_I - K_IV x_V - B_I x_border)
+            V = np.concatenate([x_border[:b], x_main]).reshape(-1, b)
+            x_border = x_border[b:]
+            x_I = _matvecs(Y, np.hstack([chain[:, b:], V, np.roll(V, -1, axis=0),
+                                         np.tile(x_border, (len(V), 1))]))
+            x_main = np.hstack([V, x_I]).ravel()[b * dropped:]
         main, border = self.product(x_main, x_border)
         r_main, r_border = main - rhs_main, border - rhs_border
         scale = max(np.linalg.norm(rhs_main) + np.linalg.norm(rhs_border), 1e-300)

@@ -34,8 +34,7 @@ from .errors import ConfigurationError, ModelError, NumericalError, SolverError,
 from .fem import (assemble_mass, assemble_stiffness, basis_tables, element_coefficients,
                   element_matrices, interpolate, matrix_pattern, scatter_vector)
 from .fem import scatter_matrix  # noqa: F401  unused; perfbench's PATCH_POINTS patches it
-from .linsolve import (BorderedSystem, Elements, element_layout, factor, factor_bordered,
-                       solve_bordered)
+from .linsolve import BorderedSystem, Elements, factor, factor_bordered, solve_bordered
 from .model import SavState, g_derivatives, g_times_u, r_init
 
 THETA_MAX, KAPPA = 0.1, 1e-4   # a kept linearization's bound and Newton's stop; see advance
@@ -99,17 +98,15 @@ class Slab:
     @cached_property
     def elements(self):
         """The Newton main block's element data, on each element's nodes in the order perm
-        (its first, its last, then the rest): the linsolve.Layout of their unknowns (dof d's
-        are 2k d + 2j + s, -1 on a constrained node), the linear part i alpha (x) M_e + A_e
-        of the element's real-form block and perm."""
-        k, space, p = self.cfg.k, self.asm.space, self.asm.space.degree
+        (its first, its last, then the rest; so dof d's unknowns 2k d + 2j + s make a
+        linsolve.Elements chain): perm and the linear part i alpha (x) M_e + A_e of the
+        element's real-form block."""
+        k, p = self.cfg.k, self.asm.space.degree
         perm = np.r_[0, p, 1:p]
-        dm = space.dof_map[:, perm, None]
-        index = np.where(dm >= 0, 2 * k * dm + np.arange(2 * k), -1).reshape(len(dm), -1)
-        mass, stiff = (m[np.ix_(perm, perm)] for m in element_matrices(space))
+        mass, stiff = (m[np.ix_(perm, perm)] for m in element_matrices(self.asm.space))
         alpha = (2.0 / self.cfg.tau) * self.scheme.diff_matrix[:, 1:]
-        return (element_layout(index, 2 * k, k), perm,
-                np.kron(mass, np.kron(alpha, [[0, -1], [1, 0]])) + np.kron(stiff, np.eye(2 * k)))
+        return perm, (np.kron(mass, np.kron(alpha, [[0, -1], [1, 0]]))
+                      + np.kron(stiff, np.eye(2 * k)))
 
     @cached_property
     def linear_block(self):
@@ -157,17 +154,11 @@ class TrajectorySummary:
     scheme: object
 
 
-def _apply(op, vectors):
-    """A real FE operator applied to (k, n) complex stage vectors, as (n, k): on their
-    float64 view, which gives the bits of the complex product without casting op."""
-    return (op @ np.ascontiguousarray(vectors.T).view(np.float64)).view(np.complex128)
-
-
 def _linear_residual(slab, state, u_stages):
     """Stage time derivatives du (k, ndof) and the linear residual i M du + A U."""
     nodal_u = np.vstack([state.u[None, :], u_stages])
     du = (2.0 / slab.cfg.tau) * (slab.scheme.diff_matrix @ nodal_u)
-    return du, (1j * _apply(slab.asm.mass, du) + _apply(slab.asm.stiff, u_stages)).T
+    return du, (1j * (slab.asm.mass @ du.T) + slab.asm.stiff @ u_stages.T).T
 
 
 def _integrals(asm, values, matrices=False):
@@ -240,8 +231,8 @@ def _assemble_newton_system(slab, unknowns, data):
     n, k = asm.space.num_dofs, len(R)
     alpha = (2.0 / slab.cfg.tau) * slab.scheme.diff_matrix[:, 1:]   # (k, k), stage coupling
     N, du, (g1, g2) = data["N"], data["du"], data["g"]
-    layout, perm, linear = slab.elements
-    blocks = np.tile(linear, (len(layout.index), 1, 1))
+    perm, linear = slab.elements
+    blocks = np.tile(linear, (asm.space.mesh.num_elements, 1, 1))
     J = blocks.reshape(len(blocks), -1, 2 * k, len(perm), 2 * k)   # [e, l, 2j + s, l', 2m + s']
     G = (_integrals(asm, part, True)[..., perm[:, None], perm] for part in (g1, g2.real, g2.imag))
     for j, (G1, X2, Y2) in enumerate(zip(*G)):   # stage j's 2 x 2 real block [s, s']
@@ -249,8 +240,8 @@ def _assemble_newton_system(slab, unknowns, data):
             [np.stack([G1 + X2, Y2], -1), np.stack([Y2, G1 - X2], -1)], 2)
 
     def apply_g(v):   # G1_j v_j + (X2_j + i Y2_j) conj v_j of stage vectors v, by quadrature
-        v_q = (element_coefficients(asm.space, v_j) @ asm.phi.T for v_j in v)
-        return _integrals(asm, (a * q + b * q.conj() for a, b, q in zip(g1, g2, v_q)))
+        v_q = element_coefficients(asm.space, v) @ asm.phi.T
+        return _integrals(asm, g1 * v_q + g2 * v_q.conj())
 
     N_parts, G_parts = (np.stack([v.real, v.imag], -1) for v in (N, apply_g(du)))   # (k, n, 2)
     stages = np.arange(k)
@@ -268,18 +259,18 @@ def _assemble_newton_system(slab, unknowns, data):
     def product(x_main, z):   # the system in stage form, reading neither the element blocks
         # nor G: i alpha M dU + A dU - R_j (G1_j dU + (X2_j + i Y2_j) conj dU) - N z
         dU = _stage_vectors(x_main, k)
-        rows = 1j * _apply(asm.mass, alpha @ dU) + _apply(asm.stiff, dU) - N.T * z
+        rows = 1j * (asm.mass @ (alpha @ dU).T) + asm.stiff @ dU.T - N.T * z
         rows -= (R[:, None] * apply_g(dU)).T
         return rows.view(np.float64).ravel(), C @ x_main + alpha @ z
 
-    return BorderedSystem(K=Elements(blocks, layout), B=Bt.reshape(k, -1).T, C=C,
-                          Dmat=alpha, product=product)
+    return BorderedSystem(K=Elements(blocks, 2 * k, bool(asm.space.dof_map[0, 0] < 0)),
+                          B=Bt.reshape(k, -1).T, C=C, Dmat=alpha, product=product)
 
 
 def _increment_norm(asm, delta_u, delta_r):
     """max over stages of the mass-weighted L2 norm of dU and |dR|."""
-    l2 = [np.sqrt(d.real @ Md.real + d.imag @ Md.imag)
-          for d, Md in zip(delta_u, _apply(asm.mass, delta_u).T)]
+    M = asm.mass
+    l2 = [np.sqrt(d.real @ (M @ d.real) + d.imag @ (M @ d.imag)) for d in delta_u]
     return float(max(max(l2), np.abs(delta_r).max()))
 
 

@@ -27,12 +27,22 @@ def stage_order(n, k):
     return np.concatenate([stage.T.ravel(), 2 * k * n + np.arange(k)])
 
 
+def element_index(K):
+    """(M, nl): the unknowns of each element of a linsolve.Elements chain K, in its blocks'
+    order (first vertex, last vertex, interior), -1 on a dropped one."""
+    M, nl = K.blocks.shape[:2]
+    b, s, e = K.b, nl - K.b, np.arange(M)[:, None]
+    chain = np.hstack([e * s + np.arange(b), (e + 1) % M * s + np.arange(b),
+                       e * s + np.arange(b, s)])
+    return np.where(chain < b * K.dropped, -1, chain - b * K.dropped)
+
+
 def real_form_matrix(system):
     """[[K, B], [C, Dmat]] of the Newton system, dense and in stage-major order, as
     sp.bmat of the real-form blocks lays it out: K summed from the element blocks (which
-    no solve overwrites), the entries of a constrained node (index -1) dropped, and the
-    border."""
-    blocks, index = system.K.blocks, system.K.layout.index
+    no solve overwrites) at element_index, the entries of a constrained node (-1)
+    dropped, and the border."""
+    blocks, index = system.K.blocks, element_index(system.K)
     ni, k = len(system.B), len(system.Dmat)
     wide = np.zeros((ni + k + 1, ni + k + 1))   # the last row and column: index -1
     np.add.at(wide, (index[:, :, None], index[:, None, :]), blocks)

@@ -16,7 +16,7 @@ from sav_nls.model import SavState, power_law
 from sav_nls.stepper import (Assemblies, SlabUnknowns, _assemble_newton_system, _newton_rhs,
                              _stage_data)
 
-from newton_matrix import make_slab, real_form_matrix, to_stage_order
+from newton_matrix import element_index, make_slab, real_form_matrix, to_stage_order
 
 
 def test_factor_identity():
@@ -182,10 +182,12 @@ def _condensed_matrix(system):
 
 
 def _condensed_order(system):
-    """The Newton system's unknowns in the condensed order: the band's vertex unknowns,
-    the first vertex's and the SAV ones, then the interiors."""
-    lay, n = system.K.layout, len(system.B)
-    return np.concatenate([lay.vertex, n + np.arange(len(system.Dmat)), lay.interior.ravel()])
+    """The Newton system's unknowns in the condensed order: the band's, which are the
+    vertices' but the first, the first vertex's (none if it is dropped) and the SAV ones,
+    then the interiors."""
+    index, b = element_index(system.K), system.K.b
+    first, sav = index[0, :b][index[0, :b] >= 0], len(system.B) + np.arange(len(system.Dmat))
+    return np.concatenate([index[1:, :b].ravel(), first, sav, index[:, 2 * b:].ravel()])
 
 
 @pytest.mark.parametrize("M", [2, 5])
@@ -215,9 +217,13 @@ def test_condensed_newton_solve_matches_splu(p, k, bc, M, monkeypatch):
     lu = factor_bordered(system)
     assert system.K is None   # consumed
     (reduced, cond), dense = condensed
-    vertices = M if bc == PERIODIC else M - 1
-    assert reduced.K.width == 4 * k - 1 and reduced.K.ab.shape[1] == 2 * k * (vertices - 1)
+    assert reduced.K.width == 4 * k - 1 and reduced.K.ab.shape[1] == 2 * k * (M - 1)
     assert isinstance(lu.lu, BandLU) and lu.S.shape == (3 * k, 3 * k) and lu.condensed is cond
+    if bc == DIRICHLET:   # the dropped first vertex's unknowns: the identity, coupled to none
+        dropped = 2 * k * (M - 1) + np.arange(2 * k)
+        assert np.array_equal(dense[dropped], np.eye(len(dense))[dropped])
+        assert np.array_equal(dense[:, dropped], np.eye(len(dense))[:, dropped])
+        dense = np.delete(np.delete(dense, dropped, 0), dropped, 1)
     stage = np.argsort(to_stage_order(np.arange(len(rhs_main)), len(rhs_main) + np.arange(k)))
     permuted = full[np.ix_(stage[order], stage[order])]
     nv = len(dense)
@@ -270,7 +276,7 @@ def test_band_is_factored_in_place(monkeypatch):
     assert band.ab.flags.f_contiguous and band.ab.shape[1] == 2 * k * 39
     assert lu is factors.lu and np.shares_memory(band.ab, lu.lu)
     B_wide, W = solved[0]   # B': the first vertex's 2k unknowns joined the k SAV ones
-    assert B_wide.flags.f_contiguous and np.shares_memory(B_wide, band.ab.base)
+    assert B_wide.flags.f_contiguous
     assert W is factors.W and np.shares_memory(B_wide, W)   # W = K^-1 B' in B's storage
     assert W.shape == (2 * k * 39, 3 * k)
 
