@@ -44,7 +44,7 @@ class Elements(NamedTuple):
 
     blocks: np.ndarray   # (M, nl, nl)
     b: int
-    dropped: bool = False
+    dropped: bool
 
 
 @dataclass(frozen=True)
@@ -146,6 +146,7 @@ def _condense(system):
     diag[0] += dropped * np.eye(b)
     Bz = S[:, :b, o:] + np.roll(S[:, b:o, o:], 1, axis=0)
     Cz = S[:, o:, :b] + np.roll(S[:, o:, b:o], 1, axis=0)
+    # B' Fortran-ordered, as W is solved in its storage
     wide, bottom = np.zeros((b + k, (M - 1) * b)).T, np.zeros((b + k, (M - 1) * b))
     wide[:b, :b] += S[0, b:o, :b]   # the wrap: vertex 0's couplings to vertices 1, M - 1
     wide[-b:, :b] += S[-1, :b, b:o]
