@@ -1,15 +1,12 @@
 """Direct solution of the per-slab bordered linear systems.
 
-The main block K is factored; the few border unknowns enter through dense
-rows and columns and are eliminated with a Schur complement.  A sparse K is
-factored with SuperLU, a Band with LAPACK's banded LU (dgbtrf/dgbtrs).  A K of
-dense element blocks (Elements, such as the Newton main block) is condensed
-first (Karniadakis & Sherwin, Spectral/hp Element Methods, 2005; Guyan 1965):
-one batched inverse of the element interiors' blocks leaves a Band on the
-vertices, block tridiagonal, whose first vertex joins the border, as a periodic
-mesh wraps there; each solve condenses its right-hand side and back-substitutes
-the interiors with batched matvecs.  The residual of every solve is checked on
-the full, uncondensed system.
+The main block K is factored; the few border unknowns enter through dense rows and
+columns and are eliminated with a Schur complement.  A sparse K is factored with SuperLU.
+A K of dense element blocks (Elements, the Newton main block) is condensed (Karniadakis &
+Sherwin, Spectral/hp Element Methods, 2005; Guyan 1965) onto its vertices, a band for
+LAPACK's banded LU, a periodic wrap eliminated as the band's own border; each solve
+condenses its right-hand side and back-substitutes the interiors with batched matvecs.
+The residual of every solve is checked on the full, uncondensed system.
 """
 
 from dataclasses import dataclass
@@ -23,15 +20,6 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .errors import SolverError
 
 RESIDUAL_TOL = 1e-11
-
-
-class Band(NamedTuple):
-    """A square matrix in LAPACK band storage: entry (i, j) is ab[2 width + i - j, j]
-    of the Fortran-ordered (3 width + 1, n) array `ab`, whose top `width` rows are
-    dgbtrf's room for fill-in.  dgbtrf copies any other array before factoring."""
-
-    ab: np.ndarray
-    width: int   # half-bandwidth, below and above the diagonal
 
 
 class Elements(NamedTuple):
@@ -48,27 +36,76 @@ class Elements(NamedTuple):
 
 
 @dataclass(frozen=True)
-class BandLU:
-    """dgbtrf's factors of a Band; `lu` is the band's own storage, overwritten."""
+class ElementsLU:
+    """The condensed factors of an Elements K: per element L = K_VI K_II^-1 and
+    Y = K_II^-1 [I, -K_IV]; dgbtrf's lu, piv of the Schur complements K_VV - L K_IV summed
+    on the vertices but the first, block tridiagonal with half-bandwidth 2b - 1; and a
+    periodic chain's wrap to the first vertex, eliminated as the band's border: (W, S^-1,
+    C) with W the band's solve of its column, S = D - C W.  A dropped vertex reads 0."""
 
+    L: np.ndarray   # (M, 2b, m)
+    Y: np.ndarray   # (M, m, m + 2b)
     lu: np.ndarray
     piv: np.ndarray
-    width: int
+    wrap: tuple
 
-    def solve(self, b):
-        """K^-1 b for 1-D or 2-D b, in b's storage if b is Fortran-ordered float64."""
-        return dgbtrs(self.lu, self.width, self.width, b, self.piv, overwrite_b=1)[0]
+    def solve(self, f):
+        """K^-1 f for 1-D or 2-D f."""
+        (M, o, _), b, x0 = self.L.shape, self.L.shape[1] // 2, 0.0
+        F = f.reshape(len(f), -1)
+        F = (np.concatenate([np.zeros((b, F.shape[1])), F]) if self.wrap is None
+             else F).reshape(M, -1, F.shape[1])
+        c = self.L @ F[:, b:]   # f_V - K_VI K_II^-1 f_I, vertex v's from elements v, v - 1
+        g = F[:, :b] - c[:, :b] - np.roll(c[:, b:], 1, axis=0)
+        y = dgbtrs(self.lu, o - 1, o - 1, g[1:].reshape(-1, F.shape[2]), self.piv,
+                   overwrite_b=1)[0]
+        if self.wrap is not None:
+            W, Sinv, C = self.wrap
+            x0 = Sinv @ (g[0] - C @ y)
+            y -= W @ x0
+        V = np.concatenate([np.broadcast_to(x0, g[0].shape), y]).reshape(M, b, -1)
+        x_I = self.Y @ np.concatenate([F[:, b:], V, np.roll(V, -1, axis=0)], axis=1)
+        x = np.concatenate([V, x_I], axis=1).reshape(-1, *f.shape[1:])
+        return x if self.wrap is not None else x[b:]
+
+
+def _condense(K):
+    """The ElementsLU of an Elements K."""
+    J, b, dropped = K
+    M, o, m = len(J), 2 * b, len(J[0]) - 2 * b
+    Y = np.empty((M, m, m + o))   # in place, for peak RSS
+    Y[:, :, :m] = np.linalg.inv(J[:, o:, o:])
+    np.negative(np.matmul(Y[:, :, :m], J[:, o:, :o], out=Y[:, :, m:]), out=Y[:, :, m:])
+    L = J[:, :o, o:] @ Y[:, :, :m]
+    S = np.matmul(J[:, :o, o:], Y[:, :, m:])
+    S += J[:, :o, :o]
+    diag = S[:, :b, :b] + np.roll(S[:, b:, b:], 1, axis=0)   # vertex v: elements v, v - 1
+    # vertices 1..M-1 in LAPACK band storage: entry (i, j) in [2w + i - j, j]
+    w, r, c, nv = o - 1, np.arange(b)[:, None], np.arange(b), M - 1
+    store = np.zeros((nv, b, 3 * w + 1))   # [block column, column, band row]
+    for d, blocks in ((0, diag[1:]), (1, S[1:-1, :b, b:]), (-1, S[1:-1, b:, :b])):
+        store[max(d, 0):nv + min(d, 0), c, 2 * w + r - c - d * b] = blocks
+    lu, piv, info = dgbtrf(store.reshape(nv * b, -1).T, w, w, overwrite_ab=1)
+    if info != 0:   # info > 0 is the 1-based index of a zero pivot
+        raise SolverError(f"singular main block: dgbtrf info {info}")
+    if dropped:
+        return ElementsLU(L, Y, lu, piv, None)
+    B, Ct = np.zeros((2, nv * b, b))   # the band's couplings to vertex 0 and back:
+    B[:b], Ct[:b] = S[0, b:, :b], S[0, :b, b:].T   # vertex 1 is element 0's last,
+    B[-b:], Ct[-b:] = B[-b:] + S[-1, :b, b:], Ct[-b:] + S[-1, b:, :b].T   # M - 1 is M - 1's first
+    W = dgbtrs(lu, w, w, np.asfortranarray(B), piv, overwrite_b=1)[0]   # in B's storage
+    return ElementsLU(L, Y, lu, piv, (W, np.linalg.inv(diag[0] - Ct.T @ W), Ct.T))
 
 
 def factor(K):
     """Factorization of a main block (its ``solve`` is reusable across right-hand
-    sides): LAPACK's banded LU of a Band, in place, or SuperLU of a sparse K;
-    raises SolverError on singularity."""
-    if isinstance(K, Band):
-        lu, piv, info = dgbtrf(K.ab, K.width, K.width, overwrite_ab=1)
-        if info != 0:   # info > 0 is the 1-based index of a zero pivot
-            raise SolverError(f"singular main block: dgbtrf info {info}")
-        return BandLU(lu, piv, K.width)
+    sides): the condensation of an Elements K or SuperLU of a sparse K; raises
+    SolverError on singularity."""
+    if isinstance(K, Elements):
+        try:
+            return _condense(K)
+        except np.linalg.LinAlgError as exc:   # an exactly singular K_II or wrap
+            raise SolverError(f"singular element interior block or wrap: {exc}") from exc
     K = sp.csc_matrix(K)
     if K.shape[0] != K.shape[1]:
         raise SolverError(f"main block is not square: {K.shape}")
@@ -80,10 +117,9 @@ def factor(K):
 
 @dataclass
 class BorderedSystem:
-    """The matrix of K x + B y = rhs_main;  C x + Dmat y = rhs_border, with K a Band,
-    Elements or a sparse matrix.  `product`, when given, maps (x, y) to (K x + B y,
-    C x + Dmat y) without reading K or B; a Band K needs it, as factoring it overwrites K
-    and B (LU, W), and an Elements K, which factoring consumes and condenses."""
+    """The matrix of K x + B y = rhs_main;  C x + Dmat y = rhs_border, with K Elements or
+    a sparse matrix.  `product`, when given, maps (x, y) to (K x + B y, C x + Dmat y)
+    without reading K or B; an Elements K needs it."""
 
     K: object
     B: np.ndarray
@@ -98,103 +134,27 @@ class BorderedSolution(NamedTuple):
     residual: float
 
 
-def _matvecs(A, x):
-    return (A @ x[:, :, None])[:, :, 0]   # A[e] @ x[e] for every element e
-
-
-def _block_band(diag, upper, lower):
-    """The Band of the block tridiagonal matrix with blocks diag (v, v), upper (v, v + 1)
-    and lower (v + 1, v), in storage of its own."""
-    nv, b = diag.shape[:2]
-    w, r, c = 2 * b - 1, np.arange(b)[:, None], np.arange(b)
-    store = np.zeros((nv, b, 3 * w + 1))   # [block column, column, band row]
-    for d, blocks in ((0, diag), (1, upper), (-1, lower)):
-        store[max(d, 0):nv + min(d, 0), c, 2 * w + r - c - d * b] = blocks
-    return Band(store.reshape(nv * b, -1).T, w)
-
-
-def _chain(x, b, dropped):
-    """x (n, ...) on the unknowns of an Elements chain: a dropped vertex's b rows read 0."""
-    return np.concatenate([np.zeros((b,) + x.shape[1:]), x]) if dropped else x
-
-
-def _condense(system):
-    """The bordered system on the band of an Elements K's vertices but the first, whose b
-    unknowns join the border, as the last element wraps to them, and (K, L, Y): with
-    L = [K_VI; C_I] K_II^-1 and Y = K_II^-1 [I, -K_IV, -B_I] of each element, it sums the
-    Schur complements K_VV - L K_IV, B_V - L B_I, C_V - C_I K_II^-1 K_IV and
-    Dmat - C_I K_II^-1 B_I, the border's entries at a vertex taken from the element that
-    it starts.  A dropped vertex gets the identity."""
-    (J, b, dropped), C, Dmat, k = system.K, system.C, system.Dmat, len(system.Dmat)
-    system.K = None   # consumed, to free the blocks before the band is stored (peak RSS)
-    M, o = len(J), 2 * b
-    B = _chain(system.B, b, dropped).reshape(M, -1, k)
-    C = _chain(C.T, b, dropped).reshape(M, -1, k).transpose(0, 2, 1)
-    if dropped:   # element 0's first vertex and the last element's last one
-        J[0, :b], J[0, :, :b], J[-1, b:o], J[-1, :, b:o] = 0.0, 0.0, 0.0, 0.0
-    inv = np.linalg.inv(J[:, o:, o:])
-    L = np.concatenate([J[:, :o, o:], C[:, :, b:]], axis=1) @ inv
-    right = -np.concatenate([J[:, o:, :o], B[:, b:]], axis=2)
-    S = L @ right
-    S[:, :o, :o] += J[:, :o, :o]
-    del J
-    S[:, :b, o:] += B[:, :b]
-    S[:, o:, :b] += C[:, :, :b]
-    Y = np.concatenate([inv, inv @ right], axis=2)
-    # vertex v's rows and columns: element v's first vertex and element v - 1's last
-    diag = S[:, :b, :b] + np.roll(S[:, b:o, b:o], 1, axis=0)
-    diag[0] += dropped * np.eye(b)
-    Bz = S[:, :b, o:] + np.roll(S[:, b:o, o:], 1, axis=0)
-    Cz = S[:, o:, :b] + np.roll(S[:, o:, b:o], 1, axis=0)
-    # B' Fortran-ordered, as W is solved in its storage
-    wide, bottom = np.zeros((b + k, (M - 1) * b)).T, np.zeros((b + k, (M - 1) * b))
-    wide[:b, :b] += S[0, b:o, :b]   # the wrap: vertex 0's couplings to vertices 1, M - 1
-    wide[-b:, :b] += S[-1, :b, b:o]
-    bottom[:b, :b] += S[0, :b, b:o]
-    bottom[:b, -b:] += S[-1, b:o, :b]
-    wide[:, b:], bottom[b:] = Bz[1:].reshape(-1, k), Cz[1:].transpose(1, 0, 2).reshape(k, -1)
-    D = np.block([[diag[0], Bz[0]], [Cz[0], S[:, o:, o:].sum(0) + Dmat]])
-    return (BorderedSystem(_block_band(diag[1:], S[1:-1, :b, b:o], S[1:-1, b:o, :b]), wide,
-                           bottom, D, system.product), (b, dropped, L, Y))
-
-
 @dataclass(frozen=True)
 class BorderedLU:
-    """A BorderedSystem factored once: K's LU, W = K^-1 B, S = Dmat - C W, C and product;
-    for an Elements K, those of the condensed system and what _condense kept."""
+    """A BorderedSystem factored once: K's factors, W = K^-1 B, S = Dmat - C W, C and
+    product."""
 
     lu: object
     W: np.ndarray
     S: np.ndarray
     C: np.ndarray
     product: object
-    condensed: tuple = None
 
     def solve(self, rhs_main, rhs_border):
         """Solve K y = rhs_main and S x_border = rhs_border - C y, and back-substitute
-        x_main = y - W x_border, on the condensed system if there is one.  The relative
-        residual of the full system, applied by `product`, is verified against
-        RESIDUAL_TOL (a NaN fails it) and returned."""
-        if self.condensed:   # b_V, b_border -= L b_I, vertex v's from elements v and v - 1
-            b, dropped, L, Y = self.condensed
-            chain = _chain(rhs_main, b, dropped).reshape(len(L), -1)
-            c = _matvecs(L, chain[:, b:])
-            g = chain[:, :b] - c[:, :b] - np.roll(c[:, b:2 * b], 1, axis=0)
-            main, border = g[1:].ravel(), np.concatenate([g[0], rhs_border - c[:, 2 * b:].sum(0)])
-        else:
-            main, border = rhs_main.copy(), rhs_border   # rhs_main is kept for the residual
-        y = self.lu.solve(main)
+        x_main = y - W x_border.  The relative residual of the full system, applied by
+        `product`, is verified against RESIDUAL_TOL (a NaN fails it) and returned."""
+        y = self.lu.solve(rhs_main)
         try:
-            x_border = np.linalg.solve(self.S, border - self.C @ y)
+            x_border = np.linalg.solve(self.S, rhs_border - self.C @ y)
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular Schur complement (degenerate r-coupling)") from exc
         x_main = y - self.W @ x_border
-        if self.condensed:   # x_I = K_II^-1 (b_I - K_IV x_V - B_I x_border)
-            V = np.concatenate([x_border[:b], x_main]).reshape(-1, b)
-            x_border = x_border[b:]
-            x_I = _matvecs(Y, np.hstack([chain[:, b:], V, np.roll(V, -1, axis=0),
-                                         np.tile(x_border, (len(V), 1))]))
-            x_main = np.hstack([V, x_I]).ravel()[b * dropped:]
         main, border = self.product(x_main, x_border)
         r_main, r_border = main - rhs_main, border - rhs_border
         scale = max(np.linalg.norm(rhs_main) + np.linalg.norm(rhs_border), 1e-300)
@@ -209,11 +169,9 @@ solve_bordered = BorderedLU.solve   # solve_bordered(lu, rhs_main, rhs_border): 
 
 
 def factor_bordered(system):
-    """The BorderedLU of a BorderedSystem, whose Band K and B become its LU and W; an
-    Elements K is condensed first."""
-    system, condensed = _condense(system) if isinstance(system.K, Elements) else (system, None)
+    """The BorderedLU of a BorderedSystem."""
     K, B, C, Dmat = system.K, system.B, system.C, system.Dmat
     lu = factor(K)
     W = lu.solve(B)
     product = system.product or (lambda x, y: (K @ x + B @ y, C @ x + Dmat @ y))
-    return BorderedLU(lu, W, Dmat - C @ W, C, product, condensed)
+    return BorderedLU(lu, W, Dmat - C @ W, C, product)

@@ -8,18 +8,17 @@ differentiation matrix.  Stage equations, for j = 1..k:
     i M du_j + A U_j - R_j N(U_j) = 0
     dr_j - Re<N(U_j), du_j> / 2   = 0
 
-with du/dr the polynomial time derivatives at the Gauss points and N(U) the quadrature
-load vector of g(U) U.  The Newton Jacobian is exact: the pointwise part
-G1 dU + (X2 + i Y2) conj dU of the derivatives g1, g2 of g(U) U, plus the rank-one
-derivative of each stage's SAV denominator d_j, folded into the border rows by solving for
-z_j = dR_j - R_j sigma_j / (2 d_j) with sigma_j = Re<N_j, dU_j>.  One quadrature kernel,
-_integrals, gives N, the element data of G1, X2, Y2 and the pointwise part's products.
-The real unknowns are u_stages.T viewed as float64, (dof, 2j + s); the Jacobian's main block
-is given as dense element blocks, whose interiors linsolve condenses out before a banded LU
-on the vertices, and every solve is checked by applying the full system in stage form, the
-pointwise part by quadrature.  An exact step's factored Jacobian serves the chord steps
-after it, across slabs (see advance).  The linear (kappa = 0) problem short-circuits to one
-complex solve; all slabs of a run share one Slab.
+with du/dr the polynomial time derivatives at the Gauss points and N(U) the quadrature load
+vector of g(U) U.  The Newton Jacobian is exact: the pointwise part G1 dU + (X2 + i Y2)
+conj dU of the derivatives g1, g2 of g(U) U, plus the rank-one derivative of each stage's
+SAV denominator d_j, folded into the border rows by solving for z_j = dR_j - R_j sigma_j /
+(2 d_j) with sigma_j = Re<N_j, dU_j>.  One quadrature kernel, _integrals, gives N, the
+element data of G1, X2, Y2 and the pointwise part's products.  The real unknowns are
+u_stages.T viewed as float64, (dof, 2j + s); the main block is handed to linsolve as dense
+element blocks, which it condenses onto the vertices, and every solve is checked on the
+full system in stage form, the pointwise part by quadrature.  An exact step's factors serve
+the chord steps after it, across slabs (see advance).  The linear (kappa = 0) problem is
+one complex solve; all slabs of a run share one Slab.
 """
 
 import numbers
@@ -31,8 +30,9 @@ import scipy.sparse as sp
 
 from .collocation import MAX_ORDER, collocation_scheme
 from .errors import ConfigurationError, ModelError, NumericalError, SolverError, StepError
-from .fem import (assemble_mass, assemble_stiffness, basis_tables, element_coefficients,
-                  element_matrices, interpolate, matrix_pattern, scatter_vector)
+from .fem import (DIRICHLET, assemble_mass, assemble_stiffness, basis_tables,
+                  element_coefficients, element_matrices, interpolate, matrix_pattern,
+                  scatter_vector)
 from .fem import scatter_matrix  # noqa: F401  unused; perfbench's PATCH_POINTS patches it
 from .linsolve import BorderedSystem, Elements, factor, factor_bordered, solve_bordered
 from .model import SavState, g_derivatives, g_times_u, r_init
@@ -66,7 +66,6 @@ class Assemblies:
     """An FE space with its operators and quadrature tables, shared by every slab."""
 
     space: object
-    pattern: object        # fem.MatrixPattern of every operator below
     mass: sp.csr_matrix    # real, like every FE operator; stage vectors are complex
     stiff: sp.csr_matrix
     quad_wts: np.ndarray   # nq reference weights on [0, 1]
@@ -77,7 +76,7 @@ class Assemblies:
         nq = space.degree + 2 if nq is None else nq
         _, wts, phi, _ = basis_tables(space.degree, nq)
         pattern = matrix_pattern(space)
-        return cls(space=space, pattern=pattern, mass=assemble_mass(space, pattern),
+        return cls(space=space, mass=assemble_mass(space, pattern),
                    stiff=assemble_stiffness(space, pattern), quad_wts=wts, phi=phi)
 
 
@@ -97,16 +96,20 @@ class Slab:
 
     @cached_property
     def elements(self):
-        """The Newton main block's element data, on each element's nodes in the order perm
-        (its first, its last, then the rest; so dof d's unknowns 2k d + 2j + s make a
-        linsolve.Elements chain): perm and the linear part i alpha (x) M_e + A_e of the
-        element's real-form block."""
-        k, p = self.cfg.k, self.asm.space.degree
+        """The Newton main block's element data on each element's nodes in the order perm
+        (first, last, the rest; dof d's unknowns 2k d + 2j + s make a linsolve.Elements
+        chain): perm, the linear part i alpha (x) M_e + A_e, and whether the chain drops its
+        first vertex."""
+        k, space = self.cfg.k, self.asm.space
+        p, M, dropped = space.degree, space.mesh.num_elements, space.mesh.bc == DIRICHLET
         perm = np.r_[0, p, 1:p]
+        # the chain's numbering, -1 on the dropped vertex, is fem.build_space's
+        assert np.array_equal(space.dof_map[:, perm], (np.arange(M)[:, None] * p + perm)
+                              % (M * p) - dropped)
         mass, stiff = (m[np.ix_(perm, perm)] for m in element_matrices(self.asm.space))
         alpha = (2.0 / self.cfg.tau) * self.scheme.diff_matrix[:, 1:]
         return perm, (np.kron(mass, np.kron(alpha, [[0, -1], [1, 0]]))
-                      + np.kron(stiff, np.eye(2 * k)))
+                      + np.kron(stiff, np.eye(2 * k))), dropped
 
     @cached_property
     def linear_block(self):
@@ -231,7 +234,7 @@ def _assemble_newton_system(slab, unknowns, data):
     n, k = asm.space.num_dofs, len(R)
     alpha = (2.0 / slab.cfg.tau) * slab.scheme.diff_matrix[:, 1:]   # (k, k), stage coupling
     N, du, (g1, g2) = data["N"], data["du"], data["g"]
-    perm, linear = slab.elements
+    perm, linear, dropped = slab.elements
     blocks = np.tile(linear, (asm.space.mesh.num_elements, 1, 1))
     J = blocks.reshape(len(blocks), -1, 2 * k, len(perm), 2 * k)   # [e, l, 2j + s, l', 2m + s']
     G = (_integrals(asm, part, True)[..., perm[:, None], perm] for part in (g1, g2.real, g2.imag))
@@ -263,7 +266,7 @@ def _assemble_newton_system(slab, unknowns, data):
         rows -= (R[:, None] * apply_g(dU)).T
         return rows.view(np.float64).ravel(), C @ x_main + alpha @ z
 
-    return BorderedSystem(K=Elements(blocks, 2 * k, bool(asm.space.dof_map[0, 0] < 0)),
+    return BorderedSystem(K=Elements(blocks, 2 * k, dropped),
                           B=Bt.reshape(k, -1).T, C=C, Dmat=alpha, product=product)
 
 
@@ -316,9 +319,9 @@ def advance(slab, state, previous=None):
     Newton keeps a linearization (Knoll & Keyes, J. Comput. Phys. 193, 2004), the one in
     `previous`, a Carry, then each exact step's, for the chord steps after it on this and
     later slabs, until a chord step contracts by theta = e_n / e_{n-1} > THETA_MAX or its
-    solve fails (SolverError, StepError); the next step is then exact, from the same iterate.
-    A chord step's ModelError is the iterate's, and goes to the restart as an exact step's
-    does.  Newton stops at an exact e <= newton_tol, or at a chord estimate
+    solve fails (SolverError, StepError); the next step is exact, from the same iterate.  A
+    ModelError is the iterate's and goes to the restart.  Newton stops at an exact
+    e <= newton_tol, or at a chord estimate
     theta / (1 - theta) e (e before a theta) <= KAPPA newton_tol (Hairer & Wanner, Solving
     ODEs II, IV.8).  A chord step costs 1/8 of an exact one on soliton_fine, and
     THETA_MAX = 0.1 asks a digit of it; KAPPA = 1e-4 stops near the increments' roundoff, as

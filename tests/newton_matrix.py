@@ -6,7 +6,7 @@ sparse matvecs that the stepper's quadrature kernel replaced, as its reference."
 
 import numpy as np
 
-from sav_nls.fem import element_coefficients, scatter_matrix
+from sav_nls.fem import element_coefficients, matrix_pattern, scatter_matrix
 from sav_nls.stepper import Slab, StepperConfig
 
 
@@ -37,18 +37,23 @@ def element_index(K):
     return np.where(chain < b * K.dropped, -1, chain - b * K.dropped)
 
 
-def real_form_matrix(system):
-    """[[K, B], [C, Dmat]] of the Newton system, dense and in stage-major order, as
-    sp.bmat of the real-form blocks lays it out: K summed from the element blocks (which
-    no solve overwrites) at element_index, the entries of a constrained node (-1)
-    dropped, and the border."""
+def chain_matrix(system):
+    """[[K, B], [C, Dmat]] of the Newton system, dense and in its own (chain) order: K
+    summed from the element blocks (which no solve overwrites) at element_index, the
+    entries of a constrained node (-1) dropped, and the border."""
     blocks, index = system.K.blocks, element_index(system.K)
     ni, k = len(system.B), len(system.Dmat)
     wide = np.zeros((ni + k + 1, ni + k + 1))   # the last row and column: index -1
     np.add.at(wide, (index[:, :, None], index[:, None, :]), blocks)
     wide = wide[:-1, :-1]
     wide[:ni, ni:], wide[ni:, :ni], wide[ni:, ni:] = system.B, system.C, system.Dmat
-    order = stage_order(ni // (2 * k), k)
+    return wide
+
+
+def real_form_matrix(system):
+    """chain_matrix in stage-major order, as sp.bmat of the real-form blocks lays it out."""
+    wide, k = chain_matrix(system), len(system.Dmat)
+    order = stage_order(len(system.B) // (2 * k), k)
     full = np.empty_like(wide)
     full[np.ix_(order, order)] = wide
     return full
@@ -74,7 +79,8 @@ def stage_element_matrices(asm, g):
 
 def stage_matrices(asm, g):
     """[G1, X2, Y2], each a list of k CSR matrices: stage_element_matrices assembled."""
-    return [[scatter_matrix(asm.pattern, local) for local in part]
+    pattern = matrix_pattern(asm.space)
+    return [[scatter_matrix(pattern, local) for local in part]
             for part in stage_element_matrices(asm, g)]
 
 

@@ -10,13 +10,14 @@ from sav_nls.collocation import collocation_scheme
 from sav_nls.errors import SolverError
 from sav_nls.fem import (DIRICHLET, PERIODIC, assemble_mass, assemble_stiffness, build_space,
                          matrix_pattern)
-from sav_nls.linsolve import (RESIDUAL_TOL, BandLU, BorderedLU, BorderedSystem, Elements, factor,
-                              factor_bordered, solve_bordered)
+from sav_nls.linsolve import (RESIDUAL_TOL, BorderedLU, BorderedSystem, Elements, ElementsLU,
+                              factor, factor_bordered, solve_bordered)
 from sav_nls.model import SavState, power_law
 from sav_nls.stepper import (Assemblies, SlabUnknowns, _assemble_newton_system, _newton_rhs,
                              _stage_data)
 
-from newton_matrix import element_index, make_slab, real_form_matrix, to_stage_order
+from newton_matrix import (chain_matrix, element_index, make_slab, real_form_matrix,
+                           to_stage_order)
 
 
 def test_factor_identity():
@@ -166,28 +167,28 @@ def _newton_system(p, k, bc, M, seed):
     return _assemble_newton_system(slab, unk, data), _newton_rhs(data)
 
 
-def _condensed_matrix(system):
-    """[[K, B'], [C', Dmat']] of a condensed BorderedSystem, dense, read from its band
-    before factoring overwrites it; every band slot off the matrix must be 0."""
-    ab, w = system.K.ab, system.K.width
-    nb, nk = ab.shape[1], len(system.Dmat)
+def _recording_dgbtrf(monkeypatch, bands):
+    """Patch linsolve's dgbtrf to append each band it is given, and a copy of it, to bands."""
+    dgbtrf = linsolve.dgbtrf
+
+    def recording(ab, *args, **kwargs):
+        bands.append((ab, ab.copy()))
+        return dgbtrf(ab, *args, **kwargs)
+
+    monkeypatch.setattr(linsolve, "dgbtrf", recording)
+
+
+def _band_matrix(ab, w):
+    """The dense matrix of LAPACK band storage ab with half-bandwidth w; every slot off
+    the matrix must be 0."""
+    nb = ab.shape[1]
     i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(nb), np.arange(nb))) <= w)
     used = np.zeros(ab.shape, dtype=bool)
     used[2 * w + i - j, j] = True
     assert not ab[~used].any()
-    dense = np.zeros((nb + nk, nb + nk))
+    dense = np.zeros((nb, nb))
     dense[i, j] = ab[2 * w + i - j, j]
-    dense[:nb, nb:], dense[nb:, :nb], dense[nb:, nb:] = system.B, system.C, system.Dmat
     return dense
-
-
-def _condensed_order(system):
-    """The Newton system's unknowns in the condensed order: the band's, which are the
-    vertices' but the first, the first vertex's (none if it is dropped) and the SAV ones,
-    then the interiors."""
-    index, b = element_index(system.K), system.K.b
-    first, sav = index[0, :b][index[0, :b] >= 0], len(system.B) + np.arange(len(system.Dmat))
-    return np.concatenate([index[1:, :b].ravel(), first, sav, index[:, 2 * b:].ravel()])
 
 
 @pytest.mark.parametrize("M", [2, 5])
@@ -196,53 +197,46 @@ def _condensed_order(system):
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_condensed_newton_solve_matches_splu(p, k, bc, M, monkeypatch):
     # the element interiors condensed out: the band holds the vertices but the first one,
-    # with half-bandwidth 4k - 1, and the border the first vertex's 2k unknowns (the
-    # periodic wrap) and the k SAV ones.  The condensed matrix is the Schur complement
-    # of the full one's interiors (for p = 1, which has none, the full matrix, bit for
-    # bit), and its solve matches splu of the full bordered matrix.  A factorization that
-    # solved one right-hand side gives the bits of a fresh one's solve of another, and
-    # another matrix's factors fail the check
+    # with half-bandwidth 4k - 1; a periodic chain's first vertex is the wrap's border, a
+    # Dirichlet one's is dropped, and the SAV border keeps its k unknowns.  The condensed
+    # matrix is the Schur complement of the full main block's interiors (for p = 1, which
+    # has none, the band is the full one's, bit for bit), and the solve matches splu of the
+    # full bordered matrix.  A factorization that solved one right-hand side gives the bits
+    # of a fresh one's solve of another, and another matrix's factors fail the check
     seed = 100 * p + 10 * k + M + (bc == DIRICHLET)
     system, (rhs_main, rhs_border) = _newton_system(p, k, bc, M, seed)
     assert isinstance(system.K, Elements)
-    full, order = real_form_matrix(system), _condensed_order(system)
-    condensed, condense = [], linsolve._condense
-
-    def recording(system):
-        condensed.append(condense(system))
-        condensed.append(_condensed_matrix(condensed[0][0]))
-        return condensed[0]
-
-    monkeypatch.setattr(linsolve, "_condense", recording)
+    full, chain, index = real_form_matrix(system), chain_matrix(system), element_index(system.K)
+    bands = []
+    _recording_dgbtrf(monkeypatch, bands)
     lu = factor_bordered(system)
-    assert system.K is None   # consumed
-    (reduced, cond), dense = condensed
-    assert reduced.K.width == 4 * k - 1 and reduced.K.ab.shape[1] == 2 * k * (M - 1)
-    assert isinstance(lu.lu, BandLU) and lu.S.shape == (3 * k, 3 * k) and lu.condensed is cond
-    if bc == DIRICHLET:   # the dropped first vertex's unknowns: the identity, coupled to none
-        dropped = 2 * k * (M - 1) + np.arange(2 * k)
-        assert np.array_equal(dense[dropped], np.eye(len(dense))[dropped])
-        assert np.array_equal(dense[:, dropped], np.eye(len(dense))[:, dropped])
-        dense = np.delete(np.delete(dense, dropped, 0), dropped, 1)
-    stage = np.argsort(to_stage_order(np.arange(len(rhs_main)), len(rhs_main) + np.arange(k)))
-    permuted = full[np.ix_(stage[order], stage[order])]
-    nv = len(dense)
+    monkeypatch.undo()
+    cond, b, n = lu.lu, 2 * k, len(rhs_main)
+    assert isinstance(cond, ElementsLU) and (cond.wrap is None) == (bc == DIRICHLET)
+    assert cond.lu.shape == (3 * (4 * k - 1) + 1, b * (M - 1))   # half-bandwidth 4k - 1
+    assert lu.W.shape == (n, k) and lu.S.shape == (k, k)
+    (_, ab), = bands
+    condensed = _band_matrix(ab, 4 * k - 1)
+    vertices = index[:, :b][index[:, :b] >= 0]   # the first vertex's first, if it is kept
+    interiors = index[:, 2 * b:].ravel()
+    K = chain[:n, :n]
+    schur = K[np.ix_(vertices, vertices)] - K[np.ix_(vertices, interiors)] @ np.linalg.solve(
+        K[np.ix_(interiors, interiors)], K[np.ix_(interiors, vertices)])
+    if cond.wrap is not None:   # vertex 0's column B0 = band W0, row C0, block S0 + C0 W0
+        W0, Sinv, C0 = cond.wrap
+        condensed = np.block([[np.linalg.inv(Sinv) + C0 @ W0, C0], [condensed @ W0, condensed]])
     if p == 1:
-        assert np.array_equal(dense, permuted)
-    else:
-        (A, Bm), (Cm, D) = [[permuted[rows, cols] for cols in (slice(nv), slice(nv, None))]
-                            for rows in (slice(nv), slice(nv, None))]
-        schur = A - Bm @ np.linalg.solve(D, Cm)
-        assert np.abs(dense - schur).max() <= 1e-10 * np.abs(schur).max()
+        assert np.array_equal(condensed[-len(ab[0]):, -len(ab[0]):],
+                              schur[-len(ab[0]):, -len(ab[0]):])
+    assert np.abs(condensed - schur).max() <= 1e-10 * np.abs(schur).max()
     sol = lu.solve(rhs_main, rhs_border)
     rhs = to_stage_order(rhs_main, rhs_border)
     ref = spla.splu(sp.csc_matrix(full)).solve(rhs)
     x = to_stage_order(sol.x_main, sol.x_border)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    monkeypatch.undo()
     rng = np.random.default_rng(seed + 1)
-    again = rng.standard_normal(len(rhs_main)), rng.standard_normal(k)
+    again = rng.standard_normal(n), rng.standard_normal(k)
     fresh = factor_bordered(_newton_system(p, k, bc, M, seed)[0]).solve(*again)
     kept = solve_bordered(lu, *again)
     np.testing.assert_array_equal(kept.x_main, fresh.x_main)
@@ -256,40 +250,36 @@ def test_condensed_newton_solve_matches_splu(p, k, bc, M, monkeypatch):
 
 def test_band_is_factored_in_place(monkeypatch):
     # a copy of the condensed band (a C-ordered one, which dgbtrf copies silently) or of
-    # W = K^-1 B' would cost MB of peak RSS at the benchmark's size
-    k = 3
-    system, (rhs_main, _) = _newton_system(3, k, PERIODIC, 40, 0)
-    factored, solved, solve = [], [], BandLU.solve
+    # the wrap's W0 = band^-1 B0 would cost MB of peak RSS at the benchmark's size
+    k, M = 3, 40
+    system, _ = _newton_system(3, k, PERIODIC, M, 0)
+    bands, solved, dgbtrs = [], [], linsolve.dgbtrs
 
-    def recording_factor(K):
-        factored.append((K, factor(K)))
-        return factored[-1][1]
+    def recording_solve(lu, kl, ku, b, *args, **kwargs):
+        solved.append((b, dgbtrs(lu, kl, ku, b, *args, **kwargs)[0]))
+        return solved[-1][1], 0
 
-    def recording_solve(lu, b):
-        solved.append((b, solve(lu, b)))
-        return solved[-1][1]
-
-    monkeypatch.setattr(linsolve, "factor", recording_factor)
-    monkeypatch.setattr(BandLU, "solve", recording_solve)
-    factors = factor_bordered(system)
-    (band, lu), = factored
-    assert band.ab.flags.f_contiguous and band.ab.shape[1] == 2 * k * 39
-    assert lu is factors.lu and np.shares_memory(band.ab, lu.lu)
-    B_wide, W = solved[0]   # B': the first vertex's 2k unknowns joined the k SAV ones
-    assert B_wide.flags.f_contiguous
-    assert W is factors.W and np.shares_memory(B_wide, W)   # W = K^-1 B' in B's storage
-    assert W.shape == (2 * k * 39, 3 * k)
+    _recording_dgbtrf(monkeypatch, bands)
+    monkeypatch.setattr(linsolve, "dgbtrs", recording_solve)
+    cond = factor_bordered(system).lu
+    (band, _), = bands
+    assert band.flags.f_contiguous and band.shape[1] == 2 * k * (M - 1)
+    assert np.shares_memory(band, cond.lu)
+    B0, W0 = solved[0]   # vertex 0's column, solved in its storage
+    assert B0.flags.f_contiguous and W0 is cond.wrap[0] and np.shares_memory(B0, W0)
+    assert W0.shape == (2 * k * (M - 1), 2 * k)
 
 
 def test_a_wrong_band_entry_fails_the_residual_check(monkeypatch):
     # the check applies the system in stage form and never reads the band
     system, rhs = _newton_system(3, 2, PERIODIC, 6, 7)
+    dgbtrf = linsolve.dgbtrf
 
-    def corrupting_factor(K):
-        K.ab[2 * K.width, 3] *= 1.0 + 1e-6   # diagonal entry 3 of the band
-        return factor(K)
+    def corrupting(ab, kl, ku, **kwargs):
+        ab[2 * kl, 3] *= 1.0 + 1e-6   # diagonal entry 3 of the band
+        return dgbtrf(ab, kl, ku, **kwargs)
 
-    monkeypatch.setattr(linsolve, "factor", corrupting_factor)
+    monkeypatch.setattr(linsolve, "dgbtrf", corrupting)
     with pytest.raises(SolverError, match="residual"):
         factor_bordered(system).solve(*rhs)
 
@@ -301,7 +291,7 @@ def test_a_wrong_element_inverse_fails_the_residual_check(p, monkeypatch):
 
     def perturbed(a):
         out = inv(a)
-        if out.size:
+        if out.ndim == 3 and out.size:   # the element blocks, not the wrap's Schur complement
             out[len(out) // 2, 0, -1] += 1e-6 * np.abs(out[len(out) // 2]).max()
         return out
 
@@ -312,6 +302,16 @@ def test_a_wrong_element_inverse_fails_the_residual_check(p, monkeypatch):
         return
     with pytest.raises(SolverError, match="residual"):
         factor_bordered(system).solve(*rhs)
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+def test_a_singular_element_interior_block_is_a_solver_error(bc):
+    # an exactly singular K_II is a SolverError, as a zero pivot of the band is, which
+    # advance's restart and StepError handling expect, not numpy's LinAlgError
+    system, _ = _newton_system(2, 2, bc, 6, 40)
+    system.K.blocks[3, 2 * 2 * 2] = 0.0   # the first interior row of element 3
+    with pytest.raises(SolverError, match="singular element interior block"):
+        factor_bordered(system)
 
 
 @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
@@ -333,22 +333,20 @@ def test_a_wrong_element_matrix_fails_the_residual_check(k, bc, monkeypatch):
         factor_bordered(system).solve(*rhs)
 
 
-@pytest.mark.parametrize("part", ["B", "C", "Dmat"])
+@pytest.mark.parametrize("part", [0, 1, 2])
 def test_a_wrong_wrap_entry_fails_the_residual_check(part, monkeypatch):
-    # the periodic wrap's entries (the first vertex's coupling to the last band vertex in
-    # B' and C', its own block in Dmat') exist only in the condensed system, which only
+    # the periodic wrap's W0, S0^-1 and C0 exist only in the condensed factors, which only
     # the solve reads; the check applies the full system in stage form
-    k, condense = 2, linsolve._condense
+    condense = linsolve._condense
 
-    def corrupting(system):
-        reduced, cond = condense(system)
-        wrap = {"B": reduced.B[-2 * k:, :2 * k], "C": reduced.C[:2 * k, -2 * k:],
-                "Dmat": reduced.Dmat[:2 * k, :2 * k]}[part]
-        i, j = np.argwhere(wrap != 0)[-1]
-        wrap[i, j] *= 1.0 + 1e-6
-        return reduced, cond
+    def corrupting(K):
+        cond = condense(K)
+        entries = cond.wrap[part]
+        i, j = np.argwhere(entries != 0)[-1]
+        entries[i, j] *= 1.0 + 1e-6
+        return cond
 
-    system, rhs = _newton_system(2, k, PERIODIC, 6, 8)
+    system, rhs = _newton_system(2, 2, PERIODIC, 6, 8)
     monkeypatch.setattr(linsolve, "_condense", corrupting)
     with pytest.raises(SolverError, match="residual"):
         factor_bordered(system).solve(*rhs)

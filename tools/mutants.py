@@ -79,25 +79,27 @@ MUTANTS = (
     (STEPPER, "l2 = [np.sqrt(d.real @ (M @ d.real) + d.imag @ (M @ d.imag)) for d in delta_u]",
      "l2 = [np.sqrt(d.real @ (M @ d.real)) for d in delta_u]",
      T_STEP + "test_real_operators_give_the_bits_of_complex_copies"),
-    # the condensation: element inverses, Schur complements, the wrap, the border, the
-    # right-hand side, the dropped vertex and p = 1
-    (LINSOLVE, "inv = np.linalg.inv(J[:, o:, o:])",
-     "inv = np.linalg.inv(J[:, o:, o:]).transpose(0, 2, 1)", SPLU),
-    (LINSOLVE, "L = np.concatenate([J[:, :o, o:],", "L = np.concatenate([0 * J[:, :o, o:],", SPLU),
-    (LINSOLVE, "diag = S[:, :b, :b] + np.roll(S[:, b:o, b:o], 1, axis=0)",
-     "diag = S[:, :b, :b] + np.roll(S[:, b:o, b:o], -1, axis=0)", SPLU),
-    (LINSOLVE, "wide[-b:, :b] += S[-1, :b, b:o]", "wide[-b:, :b] += 0 * S[-1, :b, b:o]", SPLU),
-    (LINSOLVE, "c = _matvecs(L, chain[:, b:])", "c = _matvecs(L, chain[::-1, b:])", SPLU),
-    (LINSOLVE, "x_I = _matvecs(Y, np.hstack([chain[:, b:], V,",
-     "x_I = _matvecs(Y, np.hstack([0 * chain[:, b:], V,", SPLU),
-    (LINSOLVE, "_condense(system) if isinstance(system.K, Elements) else",
-     "_condense(system) if isinstance(system.K, Elements) and len(system.K.blocks[0]) > "
-     "2 * system.K.b else", SPLU),
-    (LINSOLVE, "S[:, o:, o:].sum(0) + Dmat", "Dmat", SPLU),
-    (LINSOLVE, "right = -np.concatenate([J[:, o:, :o], B[:, b:]], axis=2)",
-     "right = -np.concatenate([J[:, o:, :o], 0 * B[:, b:]], axis=2)", SPLU),
-    (LINSOLVE, "J[0, :b], J[0, :, :b], J[-1, b:o], J[-1, :, b:o] = 0.0, 0.0, 0.0, 0.0",
-     "J[0, :b], J[0, :, :b] = 0.0, 0.0", SPLU),
+    # the condensation: element inverses, Schur complements, the wrap, the right-hand
+    # side, the back-substitution, the dropped vertex and p = 1
+    (LINSOLVE, "Y[:, :, :m] = np.linalg.inv(J[:, o:, o:])",
+     "Y[:, :, :m] = np.linalg.inv(J[:, o:, o:].transpose(0, 2, 1))", SPLU),
+    (LINSOLVE, "L = J[:, :o, o:] @ Y[:, :, :m]", "L = 0 * J[:, :o, o:] @ Y[:, :, :m]", SPLU),
+    (LINSOLVE, "S += J[:, :o, :o]", "S += 0 * J[:, :o, :o]", SPLU),
+    (LINSOLVE, "diag = S[:, :b, :b] + np.roll(S[:, b:, b:], 1, axis=0)",
+     "diag = S[:, :b, :b] + np.roll(S[:, b:, b:], -1, axis=0)", SPLU),
+    (LINSOLVE, "B[-b:] + S[-1, :b, b:]", "B[-b:] + 0 * S[-1, :b, b:]", SPLU),
+    (LINSOLVE, "Ct[-b:] + S[-1, b:, :b].T", "Ct[-b:] + S[-1, :b, b:]", SPLU),
+    (LINSOLVE, "x0 = Sinv @ (g[0] - C @ y)", "x0 = Sinv @ g[0]", SPLU),
+    (LINSOLVE, "c = self.L @ F[:, b:]", "c = self.L @ F[::-1, b:]", SPLU),
+    (LINSOLVE, "x_I = self.Y @ np.concatenate([F[:, b:], V,",
+     "x_I = self.Y @ np.concatenate([0 * F[:, b:], V,", SPLU),
+    (LINSOLVE, "return x if self.wrap is not None else x[b:]",
+     "return x if self.wrap is not None else x[:-b]", SPLU),
+    (LINSOLVE, "if isinstance(K, Elements):",
+     "if isinstance(K, Elements) and len(K.blocks[0]) > 2 * K.b:", SPLU),
+    (LINSOLVE, 'raise SolverError(f"singular element interior block or wrap: {exc}") from exc',
+     "raise",
+     T_LIN + "test_a_singular_element_interior_block_is_a_solver_error"),
     # the residual check, the observers' drifts and the CLI's exit codes
     (LINSOLVE, "RESIDUAL_TOL = 1e-11", "RESIDUAL_TOL = 1e30",
      T_LIN + "test_kept_factorization_of_another_matrix_fails_the_residual_check"),
