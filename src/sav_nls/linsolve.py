@@ -52,21 +52,18 @@ class ElementsLU:
     def solve(self, f):
         """K^-1 f for 1-D or 2-D f."""
         (M, o, _), b, x0 = self.L.shape, self.L.shape[1] // 2, 0.0
-        F = f.reshape(len(f), -1)
-        F = (np.concatenate([np.zeros((b, F.shape[1])), F]) if self.wrap is None
-             else F).reshape(M, -1, F.shape[1])
+        F, pad = f.reshape(len(f), -1), b * (self.wrap is None)   # a dropped vertex: zeros
+        F = (np.concatenate([np.zeros_like(F[:pad]), F]) if pad else F).reshape(M, -1, F.shape[1])
         c = self.L @ F[:, b:]   # f_V - K_VI K_II^-1 f_I, vertex v's from elements v, v - 1
         g = F[:, :b] - c[:, :b] - np.roll(c[:, b:], 1, axis=0)
-        y = dgbtrs(self.lu, o - 1, o - 1, g[1:].reshape(-1, F.shape[2]), self.piv,
-                   overwrite_b=1)[0]
+        y = dgbtrs(self.lu, o - 1, o - 1, g.reshape(M * b, -1)[b:], self.piv, overwrite_b=1)[0]
         if self.wrap is not None:
             W, Sinv, C = self.wrap
             x0 = Sinv @ (g[0] - C @ y)
             y -= W @ x0
         V = np.concatenate([np.broadcast_to(x0, g[0].shape), y]).reshape(M, b, -1)
         x_I = self.Y @ np.concatenate([F[:, b:], V, np.roll(V, -1, axis=0)], axis=1)
-        x = np.concatenate([V, x_I], axis=1).reshape(-1, *f.shape[1:])
-        return x if self.wrap is not None else x[b:]
+        return np.concatenate([V, x_I], axis=1).reshape(-1, *f.shape[1:])[pad:]
 
 
 def _condense(K):

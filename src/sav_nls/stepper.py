@@ -30,9 +30,8 @@ import scipy.sparse as sp
 
 from .collocation import MAX_ORDER, collocation_scheme
 from .errors import ConfigurationError, ModelError, NumericalError, SolverError, StepError
-from .fem import (DIRICHLET, assemble_mass, assemble_stiffness, basis_tables,
-                  element_coefficients, element_matrices, interpolate, matrix_pattern,
-                  scatter_vector)
+from .fem import (DIRICHLET, assemble_mass, assemble_stiffness, basis_tables, element_coefficients,
+                  element_matrices, interpolate, matrix_pattern, scatter_vector)
 from .fem import scatter_matrix  # noqa: F401  unused; perfbench's PATCH_POINTS patches it
 from .linsolve import BorderedSystem, Elements, factor, factor_bordered, solve_bordered
 from .model import SavState, g_derivatives, g_times_u, r_init
@@ -96,13 +95,11 @@ class Slab:
 
     @cached_property
     def elements(self):
-        """The Newton main block's element data on each element's nodes in the order perm
-        (first, last, the rest; dof d's unknowns 2k d + 2j + s make a linsolve.Elements
-        chain): perm, the linear part i alpha (x) M_e + A_e, and whether the chain drops its
-        first vertex."""
-        k, space = self.cfg.k, self.asm.space
-        p, M, dropped = space.degree, space.mesh.num_elements, space.mesh.bc == DIRICHLET
-        perm = np.r_[0, p, 1:p]
+        """The Newton main block's element data, each element's nodes in the order perm
+        (first, last, the rest: dof d's unknowns 2k d + 2j + s make a linsolve.Elements
+        chain): perm, the linear part i alpha (x) M_e + A_e, and if the chain drops vertex 0."""
+        k, space, p = self.cfg.k, self.asm.space, self.asm.space.degree
+        M, dropped, perm = space.mesh.num_elements, space.mesh.bc == DIRICHLET, np.r_[0, p, 1:p]
         # the chain's numbering, -1 on the dropped vertex, is fem.build_space's
         assert np.array_equal(space.dof_map[:, perm], (np.arange(M)[:, None] * p + perm)
                               % (M * p) - dropped)
@@ -221,17 +218,11 @@ def _stage_vectors(x, k):
     return np.ascontiguousarray(x.view(np.complex128).reshape(-1, k).T)
 
 
-def _newton_rhs(data):
-    """(rhs_main, rhs_border) of the Newton system: minus the collocation residual."""
-    return _real_unknowns(-data["res_u"]), -data["res_r"]
-
-
 def _assemble_newton_system(slab, unknowns, data):
     """Bordered real-form Jacobian at the current iterate, in the unknowns (dU, z) with
     z = dR - R sigma / (2 d); see the module docstring.  The main block is given as its
     element blocks, the border B (columns -N_j) and C (rows) over all of dU's unknowns."""
-    R, asm = unknowns.r_stages, slab.asm
-    n, k = asm.space.num_dofs, len(R)
+    R, asm, n, k = unknowns.r_stages, slab.asm, slab.asm.space.num_dofs, slab.cfg.k
     alpha = (2.0 / slab.cfg.tau) * slab.scheme.diff_matrix[:, 1:]   # (k, k), stage coupling
     N, du, (g1, g2) = data["N"], data["du"], data["g"]
     perm, linear, dropped = slab.elements
@@ -262,8 +253,7 @@ def _assemble_newton_system(slab, unknowns, data):
     def product(x_main, z):   # the system in stage form, reading neither the element blocks
         # nor G: i alpha M dU + A dU - R_j (G1_j dU + (X2_j + i Y2_j) conj dU) - N z
         dU = _stage_vectors(x_main, k)
-        rows = 1j * (asm.mass @ (alpha @ dU).T) + asm.stiff @ dU.T - N.T * z
-        rows -= (R[:, None] * apply_g(dU)).T
+        rows = 1j * (asm.mass @ (alpha @ dU).T) + asm.stiff @ dU.T - N.T * z - apply_g(dU).T * R
         return rows.view(np.float64).ravel(), C @ x_main + alpha @ z
 
     return BorderedSystem(K=Elements(blocks, 2 * k, dropped),
@@ -288,7 +278,7 @@ class Linearization:
 
     def step(self, data):
         """The increment (delta_u, delta_r) that cancels the residual of _stage_data's `data`."""
-        x_main, z, _ = solve_bordered(self.factors, *_newton_rhs(data))
+        x_main, z, _ = solve_bordered(self.factors, _real_unknowns(-data["res_u"]), -data["res_r"])
         delta_u = _stage_vectors(x_main, len(self.R))
         sigma = np.real(np.einsum("ki,ki->k", self.N.conj(), delta_u))
         return delta_u, z + self.R / (2.0 * self.denoms) * sigma
@@ -320,16 +310,15 @@ def advance(slab, state, previous=None):
     `previous`, a Carry, then each exact step's, for the chord steps after it on this and
     later slabs, until a chord step contracts by theta = e_n / e_{n-1} > THETA_MAX or its
     solve fails (SolverError, StepError); the next step is exact, from the same iterate.  A
-    ModelError is the iterate's and goes to the restart.  Newton stops at an exact
-    e <= newton_tol, or at a chord estimate
-    theta / (1 - theta) e (e before a theta) <= KAPPA newton_tol (Hairer & Wanner, Solving
-    ODEs II, IV.8).  A chord step costs 1/8 of an exact one on soliton_fine, and
-    THETA_MAX = 0.1 asks a digit of it; KAPPA = 1e-4 stops near the increments' roundoff, as
-    an exact step's e^2 / 2 does, and so keeps the drifts at roundoff (README, "Newton").
-    Newton starts from the polynomial of the slab whose start state and stages `previous`
-    holds, and again from the constant value state with an exact step if that fails; the
-    last start's failure is a StepError with the slab's increment history.  kappa = 0
-    ignores `previous`.
+    ModelError is the iterate's and goes to the restart.  Newton stops at an exact e <=
+    newton_tol, or at a chord estimate theta / (1 - theta) e (e before a theta) <= KAPPA
+    newton_tol (Hairer & Wanner, Solving ODEs II, IV.8).  A chord step costs 1/8 of an exact
+    one on soliton_fine, and THETA_MAX = 0.1 asks a digit of it; KAPPA = 1e-4 stops near the
+    increments' roundoff, as an exact step's e^2 / 2 does, and so keeps the drifts at
+    roundoff (README, "Newton").  Newton starts from the polynomial of the slab whose start
+    state and stages `previous` holds, and again from the constant value state with an exact
+    step if that fails; the last start's failure is a StepError with the slab's increment
+    history.  kappa = 0 ignores `previous`.
     """
     cfg, scheme = slab.cfg, slab.scheme
     tau, k, tol = cfg.tau, cfg.k, cfg.newton_tol

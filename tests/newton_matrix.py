@@ -7,7 +7,7 @@ sparse matvecs that the stepper's quadrature kernel replaced, as its reference."
 import numpy as np
 
 from sav_nls.fem import element_coefficients, matrix_pattern, scatter_matrix
-from sav_nls.stepper import Slab, StepperConfig
+from sav_nls.stepper import Slab, StepperConfig, _real_unknowns
 
 
 def make_slab(asm, scheme, nl, tau, **options):
@@ -18,6 +18,12 @@ def make_slab(asm, scheme, nl, tau, **options):
 def real_parts(vectors):
     """(k, n) complex stage vectors stage-major, as [Re_1, Im_1, Re_2, Im_2, ...]."""
     return np.stack([vectors.real, vectors.imag], axis=1).reshape(-1)
+
+
+def newton_rhs(data):
+    """(rhs_main, rhs_border) that Linearization.step solves for: minus the collocation
+    residual of _stage_data's `data`, dU's rows numbered as _real_unknowns numbers them."""
+    return _real_unknowns(-data["res_u"]), -data["res_r"]
 
 
 def stage_order(n, k):

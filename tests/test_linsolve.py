@@ -13,10 +13,9 @@ from sav_nls.fem import (DIRICHLET, PERIODIC, assemble_mass, assemble_stiffness,
 from sav_nls.linsolve import (RESIDUAL_TOL, BorderedLU, BorderedSystem, Elements, ElementsLU,
                               factor, factor_bordered, solve_bordered)
 from sav_nls.model import SavState, power_law
-from sav_nls.stepper import (Assemblies, SlabUnknowns, _assemble_newton_system, _newton_rhs,
-                             _stage_data)
+from sav_nls.stepper import Assemblies, SlabUnknowns, _assemble_newton_system, _stage_data
 
-from newton_matrix import (chain_matrix, element_index, make_slab, real_form_matrix,
+from newton_matrix import (chain_matrix, element_index, make_slab, newton_rhs, real_form_matrix,
                            to_stage_order)
 
 
@@ -164,7 +163,7 @@ def _newton_system(p, k, bc, M, seed):
                        1.0 + 0.2 * rng.standard_normal(k))
     slab = make_slab(asm, scheme, power_law(2.0, 3.0, c0=1.0), 0.17)
     data = _stage_data(slab, state, unk, need_jacobian=True)
-    return _assemble_newton_system(slab, unk, data), _newton_rhs(data)
+    return _assemble_newton_system(slab, unk, data), newton_rhs(data)
 
 
 def _recording_dgbtrf(monkeypatch, bands):

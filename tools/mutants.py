@@ -93,8 +93,7 @@ MUTANTS = (
     (LINSOLVE, "c = self.L @ F[:, b:]", "c = self.L @ F[::-1, b:]", SPLU),
     (LINSOLVE, "x_I = self.Y @ np.concatenate([F[:, b:], V,",
      "x_I = self.Y @ np.concatenate([0 * F[:, b:], V,", SPLU),
-    (LINSOLVE, "return x if self.wrap is not None else x[b:]",
-     "return x if self.wrap is not None else x[:-b]", SPLU),
+    (LINSOLVE, ".reshape(-1, *f.shape[1:])[pad:]", ".reshape(-1, *f.shape[1:])[:len(f)]", SPLU),
     (LINSOLVE, "if isinstance(K, Elements):",
      "if isinstance(K, Elements) and len(K.blocks[0]) > 2 * K.b:", SPLU),
     (LINSOLVE, 'raise SolverError(f"singular element interior block or wrap: {exc}") from exc',
