@@ -75,8 +75,8 @@ def to_stage_order(x_main, x_border):
 
 def stage_element_matrices(asm, g):
     """[G1, X2, Y2], each (k, M, p+1, p+1): the element matrices int (g1, Re g2, Im g2)
-    phi_l phi_n dx of the pointwise values g = (g1, g2), (k, M, nq) each, by one 4-operand
-    einsum per stage and part, as the stepper computed them before its quadrature kernel."""
+    phi_l phi_n dx of the pointwise values g = (g1, g2), (k, M, nq) each, by 4-operand
+    einsums, as the stepper computed them before its quadrature kernel."""
     wh = asm.space.mesh.h * asm.quad_wts
     loc1 = np.einsum("kmq,q,ql,qn->kmln", g[0].real, wh, asm.phi, asm.phi)
     loc2 = np.einsum("kmq,q,ql,qn->kmln", g[1], wh, asm.phi, asm.phi)

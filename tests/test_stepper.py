@@ -287,24 +287,25 @@ def test_predictor_matches_cold_start(k, bc, monkeypatch):
     # slab's polynomial, with the linearization that slab kept: advance with the
     # same Carry gives each slab bit for bit, and a cold start from the constant
     # value with the same kept linearization reaches the same solution with at least
-    # as many factorizations, and all of them together with more; at k = 2, where each
-    # slab factors once on either side, with as many and more Newton iterations.  With
-    # no linearization kept or reused, every step exact, a warm start takes no more
-    # Newton iterations than a cold one, and all together fewer.  The warm side's exact
-    # steps leave the kept linearization the cold side uses intact, so no cold chord
-    # step fails: each factorization owns its storage.  At k = 1 the linear
-    # extrapolation of the rotating phase misses the stage mass by 14% (the constant
-    # start by 3.5%); the Newton Jacobian carries the derivative of the SAV
-    # denominator, so that error still contracts quadratically
+    # as many factorizations, and all of them together with more (its start is too
+    # far for chord steps).  With no linearization kept or reused, every step exact,
+    # a warm start takes no more Newton iterations than a cold one, and all together
+    # fewer.  The warm side's exact steps leave the kept linearization that the cold
+    # side is handed intact, as each factorization owns its storage, so no cold chord
+    # step fails.  At k = 1 the linear extrapolation of the rotating phase misses the
+    # stage mass by 14% (the constant start by 3.5%); the Newton Jacobian carries the
+    # derivative of the SAV denominator, so that error still contracts quadratically.
+    # At k = 2 and tau = 0.1 the warm start's chord steps contract by about 0.38, far
+    # above THETA_MAX, and either start factors on every slab; at tau = 1/80 the warm
+    # start keeps the linearization on most slabs
     prob = soliton()
     nl = power_law(prob.kappa, prob.q, c0=1.0)
     space = build_space(prob.a, prob.b, 60, 2, bc)
-    cfg = StepperConfig(tau=0.1, k=k)
+    cfg = StepperConfig(tau=0.0125 if k == 2 else 0.1, k=k)
     log = _SlabLog()
     summary = integrate(prob.u0, cfg, space, nl, 0.5, observers=(log,))
     warm_slab, cold_slab = (Slab(cfg, summary.assemblies, summary.scheme, nl) for _ in "wc")
-    carry = Carry()   # counts: [reuse off, on] x [warm, cold] x [factorizations, iterations]
-    counts = np.zeros((2, 2, 2), dtype=int)
+    carry, counts = Carry(), np.zeros((2, 2), dtype=int)   # [reuse off, on] x [warm, cold]
 
     def compare(state, previous, cold_previous, reuse):
         warm, warm_report = advance(warm_slab, state, previous)
@@ -312,8 +313,8 @@ def test_predictor_matches_cold_start(k, bc, monkeypatch):
         assert np.linalg.norm(warm.u - cold.u) <= 1e-9 * np.linalg.norm(cold.u)
         assert abs(warm.r - cold.r) <= 1e-9 * abs(cold.r)
         assert np.inf not in cold_report.increment_history
-        work = [(r.factorizations, r.iterations) for r in (warm_report, cold_report)]
-        assert work[0][not reuse] <= work[1][not reuse]
+        work = [(r.factorizations if reuse else r.iterations) for r in (warm_report, cold_report)]
+        assert work[0] <= work[1]
         counts[int(reuse)] += work
         return warm, warm_report
 
@@ -329,9 +330,7 @@ def test_predictor_matches_cold_start(k, bc, monkeypatch):
     monkeypatch.setattr(stepper, "newton_step", lambda *args: (*step(*args[:3])[:3], None))
     for (prev_state, _, prev_report), (state, _, _) in zip(log.slabs, log.slabs[1:]):
         compare(state, Carry(prev_state, prev_report.stages), None, False)
-    saved = counts[1, 1] - counts[1, 0]   # the factorizations and iterations a warm start saves
-    assert counts[0, 0, 1] < counts[0, 1, 1] and (saved[0] > 0 if k != 2 else
-                                                  saved[0] == 0 and saved[1] > 0), counts
+    assert np.all(counts[:, 0] < counts[:, 1]), counts
 
 
 @pytest.mark.parametrize("config,overrides", [

@@ -65,6 +65,8 @@ MUTANTS = (
      "tests/test_cli.py::test_check_failure_exit_code_and_flags"),
     (STEPPER, "THETA_MAX, KAPPA = 0.1, 1e-4", "THETA_MAX, KAPPA = 10.0, 1e-4",
      T_STEP + "test_kept_linearization_whose_contraction_exceeds_the_bound_is_dropped"),
+    (STEPPER, "THETA_MAX, KAPPA = 0.1, 1e-4", "THETA_MAX, KAPPA = 0.05, 1e-4",
+     T_STEP + "test_predictor_matches_cold_start"),
     (STEPPER, "res_final = _residual_norm(*residual(slab, state, unknowns))", "res_final = 0.0",
      T_STEP + "test_residual_final_is_the_residual_of_the_returned_stages"),
     # the quadrature kernel, the assembly and the increment norm
