@@ -17,8 +17,8 @@ element data of G1, X2, Y2 and the pointwise part's products.  The real unknowns
 u_stages.T viewed as float64, (dof, 2j + s); the main block is handed to linsolve as dense
 element blocks, which it condenses onto the vertices, and every solve is checked on the
 full system in stage form, the pointwise part by quadrature.  An exact step's factors serve
-the chord steps after it, across slabs (see advance).  The linear (kappa = 0) problem is
-one complex solve; all slabs of a run share one Slab.
+the chord steps after it, across slabs (see advance).  The linear (kappa = 0) problem is k
+complex solves in alpha's eigenbasis, refined once; all slabs of a run share one Slab.
 """
 
 import numbers
@@ -110,11 +110,12 @@ class Slab:
 
     @cached_property
     def linear_block(self):
-        """kappa = 0: the complex stage matrix [i alpha[j, m] M + (j == m) A] in CSC."""
-        k, mass, stiff = self.cfg.k, self.asm.mass, self.asm.stiff
-        alpha = (2.0 / self.cfg.tau) * self.scheme.diff_matrix[:, 1:]
-        return sp.bmat([[1j * alpha[j, m] * mass + stiff if j == m else 1j * alpha[j, m] * mass
-                         for m in range(k)] for j in range(k)], format="csc")
+        """kappa = 0: alpha = V diag(lam) V^-1 (distinct lam for every k) splits the stage
+        matrix i alpha (x) M + I (x) A into the blocks i lam_j M + A (Butcher, BIT 16, 1976):
+        V, V^-1 and their block diagonal in CSC."""
+        lam, V = np.linalg.eig((2.0 / self.cfg.tau) * self.scheme.diff_matrix[:, 1:])
+        return V, np.linalg.inv(V), sp.block_diag([1j * lam_j * self.asm.mass + self.asm.stiff
+                                                   for lam_j in lam], format="csc")
 
 
 @dataclass
@@ -325,13 +326,16 @@ def advance(slab, state, previous=None):
     constant = SlabUnknowns(np.tile(state.u, (k, 1)), np.full(k, float(state.r)))
     history, factorizations, warnings = [], 0, []
     if slab.nl.is_linear:
-        _, res_u = _linear_residual(slab, state, constant.u_stages)
-        delta_u = factor(slab.linear_block).solve(-res_u.reshape(-1)).reshape(k, -1)
+        V, V_inv, blocks = slab.linear_block
+        lu, delta_u = factor(blocks), 0
+        for _ in range(2):   # the decoupled solve, then one refinement step (README, kappa = 0)
+            _, res_u = _linear_residual(slab, state, constant.u_stages + delta_u)
+            delta_u = delta_u + V @ lu.solve(-(V_inv @ res_u).reshape(-1)).reshape(k, -1)
         unknowns = SlabUnknowns(constant.u_stages + delta_u, constant.r_stages)
         history, factorizations = [_increment_norm(slab.asm, delta_u, np.zeros(k))], 1
         _, res_u = _linear_residual(slab, state, unknowns.u_stages)
         res_final = _residual_norm(res_u, np.zeros(k))
-        del _, res_u, delta_u   # before u_end: kept past it, they cost planewave_linear ~5%/slab
+        del _, res_u, delta_u, lu   # before u_end: kept past it, they cost planewave_linear 5%
     else:
         carry = previous or Carry()
         lin, carry.lin, starts = carry.lin, None, [constant]

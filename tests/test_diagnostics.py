@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sav_nls.collocation import collocation_scheme, gauss_rule
-from sav_nls.diagnostics import (ConvergenceTable, InternalMassObserver,
+from sav_nls.diagnostics import (ConvergenceTable, InternalMassObserver, ObservationRecord,
                                  RunRecorder, TrajectoryErrorObserver, eoc,
                                  internal_mass_check, mass, original_energy,
                                  sav_energy)
@@ -136,6 +136,15 @@ def test_zero_initial_data_run_has_zero_drift():
     assert rec.max_sav_energy_drift <= 1e-14
     # the initial mass is 0, so there is no ratio to the bound; 0 <= 0 holds
     assert internal.all_ok and internal.worst_ratio == 0.0
+
+
+def test_drifts_are_measured_from_the_initial_record():
+    # a drift is the largest distance of any record from the first one: measured from the
+    # last record or from each record's predecessor, these records would read 2, not 3
+    rec = RunRecorder()
+    rec.records = [ObservationRecord(t=0.1 * n, mass=v, sav_energy=-v, original_energy=0.0)
+                   for n, v in enumerate((1.0, 3.0, 4.0, 2.0))]
+    assert rec.max_mass_drift == rec.max_sav_energy_drift == 3.0
 
 
 def _nan_at(t_nan, fn):

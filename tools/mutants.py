@@ -69,6 +69,11 @@ MUTANTS = (
      T_STEP + "test_predictor_matches_cold_start"),
     (STEPPER, "res_final = _residual_norm(*residual(slab, state, unknowns))", "res_final = 0.0",
      T_STEP + "test_residual_final_is_the_residual_of_the_returned_stages"),
+    # the decoupled kappa = 0 solve: its refinement step and its eigenbasis
+    (STEPPER, "for _ in range(2):   # the decoupled solve", "for _ in range(1):   # no refinement",
+     T_STEP + "test_high_order_linear_run_conserves_mass_and_sav_energy"),
+    (STEPPER, "V @ lu.solve(-(V_inv @ res_u)", "V_inv @ lu.solve(-(V @ res_u)",
+     T_STEP + "test_decoupled_linear_solve_matches_splu_of_the_coupled_stage_matrix"),
     # the quadrature kernel, the assembly and the increment norm
     ("src/sav_nls/model.py", "g1 = (fs + fps * s) / denom", "g1 = (fs + 0.5 * fps * s) / denom",
      "tests/test_acceptance.py::test_criterion_8_jacobian_directional_derivative"),
@@ -107,6 +112,9 @@ MUTANTS = (
     ("src/sav_nls/diagnostics.py", "return float(np.real(np.vdot(u, asm.mass @ u)))",
      "return float(np.real(np.vdot(u, asm.mass @ u))) * (1 + 1e-9)",
      "tests/test_diagnostics.py::test_mass_values"),
+    ("src/sav_nls/diagnostics.py", "abs(r.sav_energy - self.records[0].sav_energy)",
+     "abs(r.sav_energy - self.records[-1].sav_energy)",
+     "tests/test_diagnostics.py::test_drifts_are_measured_from_the_initial_record"),
     ("src/sav_nls/cli.py",
      "file=sys.stderr)\n        return EXIT_USAGE\n    except NumericalError",
      "file=sys.stderr)\n        return EXIT_NUMERICAL\n    except NumericalError",
