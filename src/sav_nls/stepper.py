@@ -130,7 +130,6 @@ class SlabUnknowns:
 class StepReport:
     iterations: int
     increment_history: list
-    residual_final: float
     stages: SlabUnknowns
     factorizations: int   # main-block factorizations, counted as iterations are
     warnings: list
@@ -202,10 +201,6 @@ def residual(slab, state, unknowns):
     """Collocation residual (res_u: (k, ndof) complex, res_r: (k,) real)."""
     data = _stage_data(slab, state, unknowns, need_jacobian=False)
     return data["res_u"], data["res_r"]
-
-
-def _residual_norm(res_u, res_r):
-    return float(max(np.linalg.norm(res_u, axis=1).max(), np.abs(res_r).max()))
 
 
 def _real_unknowns(vectors):
@@ -333,8 +328,6 @@ def advance(slab, state, previous=None):
             delta_u = delta_u + V @ lu.solve(-(V_inv @ res_u).reshape(-1)).reshape(k, -1)
         unknowns = SlabUnknowns(constant.u_stages + delta_u, constant.r_stages)
         history, factorizations = [_increment_norm(slab.asm, delta_u, np.zeros(k))], 1
-        _, res_u = _linear_residual(slab, state, unknowns.u_stages)
-        res_final = _residual_norm(res_u, np.zeros(k))
         del _, res_u, delta_u, lu   # before u_end: kept past it, they cost planewave_linear 5%
     else:
         carry = previous or Carry()
@@ -375,14 +368,12 @@ def advance(slab, state, previous=None):
         carry.state, carry.stages, carry.lin = state, unknowns, lin
         if clamped:
             warnings.append(f"clamped singular g derivatives at {clamped} points")
-        res_final = _residual_norm(*residual(slab, state, unknowns))
 
     e = scheme.endpoint_weights
     u_end = e[0] * state.u + e[1:] @ unknowns.u_stages
     r_end = float(e[0] * state.r + e[1:] @ unknowns.r_stages)
     new_state = SavState(u=u_end, r=r_end, t=state.t + tau)
-    report = StepReport(iterations=len(history), increment_history=history,
-                        residual_final=res_final, stages=unknowns,
+    report = StepReport(iterations=len(history), increment_history=history, stages=unknowns,
                         factorizations=factorizations, warnings=warnings)
     return new_state, report
 

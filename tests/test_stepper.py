@@ -39,6 +39,12 @@ def _zeros_state(space, r):
     return SavState(u=np.zeros(space.num_dofs, dtype=complex), r=r, t=0.0)
 
 
+def _residual_norm(slab, state, stages):
+    """A slab's final collocation residual: max of res_u's stage norms and of |res_r|."""
+    res_u, res_r = residual(slab, state, stages)
+    return float(max(np.linalg.norm(res_u, axis=1).max(), np.abs(res_r).max()))
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         StepperConfig(tau=0.0, k=2)
@@ -199,9 +205,10 @@ def test_linear_problem_single_iteration():
     nl = power_law(0.0, 3.0, c0=1.0)
     u0 = interpolate(space, lambda x: np.exp(2j * np.pi * x))
     state = SavState(u=u0, r=1.0, t=0.0)
-    _, report = advance(make_slab(asm, collocation_scheme(2), nl, 0.05), state)
+    slab = make_slab(asm, collocation_scheme(2), nl, 0.05)
+    _, report = advance(slab, state)
     assert report.iterations == 1
-    assert report.residual_final <= 1e-10
+    assert _residual_norm(slab, state, report.stages) <= 1e-10
 
 
 @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
@@ -316,6 +323,9 @@ class _SlabLog:
     def __init__(self):
         self.slabs = []
 
+    def start(self, state0, asm, scheme, nl):
+        self.asm, self.scheme, self.nl = asm, scheme, nl
+
     def after_slab(self, n, prev_state, new_state, report):
         self.slabs.append((prev_state, new_state, report))
 
@@ -376,42 +386,26 @@ def test_predictor_matches_cold_start(k, bc, monkeypatch):
 @pytest.mark.parametrize("config,overrides", [
     ("configs/soliton_conservation.cfg", {}),
     ("configs/soliton_conservation.cfg", {"q": "2", "kappa": "-1", "bc": "dirichlet"}),
+    ("configs/soliton_conservation.cfg", {"k": "1", "T": "1"}),
+    ("configs/soliton_conservation.cfg", {"p": "4", "T": "1"}),
+    ("configs/soliton_conservation.cfg", {"k": "4", "p": "2", "bc": "dirichlet", "T": "1"}),
     ("perfbench/cases/planewave_linear.cfg", {"T": "0.01"}),
+    ("perfbench/cases/planewave_linear.cfg", {"T": "0.01", "bc": "dirichlet"}),
 ])
 def test_every_slab_meets_the_residual_gate(config, overrides):
-    """The final collocation residual of every slab is at most 10 newton_tol
-    (worst slabs 3.6e-14, 3.5e-14 and 2.4e-11 against 1e-9)."""
+    """The collocation residual of every slab's returned stages, recomputed from its
+    start state, is at most 10 newton_tol on each solver path that
+    tools/output_digest.py runs (worst slabs, in order, 1.6e-13, 3.8e-13, 3.4e-14,
+    1.5e-13, 4.2e-14, 2.7e-11 and 2.9e-11 against 1e-9)."""
     cfg = parse_config(str(ROOT / config), overrides)
     log = _SlabLog()
     _, run = _prepare(cfg)
     assert run((log,)) is None
     assert len(log.slabs) == num_slabs(cfg.T, cfg.tau) > 0
-    worst = max(report.residual_final for _, _, report in log.slabs)
+    slab = Slab(StepperConfig(tau=cfg.tau, k=cfg.k, newton_tol=cfg.newton_tol),
+                log.asm, log.scheme, log.nl)
+    worst = max(_residual_norm(slab, state, report.stages) for state, _, report in log.slabs)
     assert worst <= 10 * cfg.newton_tol
-
-
-@pytest.mark.parametrize("config,overrides", [
-    ("configs/soliton_conservation.cfg", {"T": "0.6"}),
-    ("perfbench/cases/planewave_linear.cfg", {"T": "0.005"}),
-])
-def test_residual_final_is_the_residual_of_the_returned_stages(config, overrides):
-    # StepReport.residual_final of every slab, recomputed from the slab's start state
-    # and returned stages, on the nonlinear and the kappa = 0 path (whose r is held
-    # constant, so its SAV rows, roundoff of D applied to a constant, do not count;
-    # its norms run over a transposed array, in another summation order)
-    cfg = parse_config(str(ROOT / config), overrides)
-    prob, nl = build_problem(cfg)
-    space = build_space(cfg.a, cfg.b, cfg.M, cfg.p, cfg.bc)
-    scfg = StepperConfig(tau=cfg.tau, k=cfg.k, newton_tol=cfg.newton_tol)
-    log = _SlabLog()
-    summary = integrate(prob.u0, scfg, space, nl, cfg.T, observers=(log,))
-    slab = Slab(scfg, summary.assemblies, summary.scheme, nl)
-    assert len(log.slabs) == num_slabs(cfg.T, cfg.tau) > 0
-    for state, _, report in log.slabs:
-        res_u, res_r = residual(slab, state, report.stages)
-        recomputed = max(np.linalg.norm(res_u, axis=1).max(),
-                         0.0 if nl.is_linear else np.abs(res_r).max())
-        assert abs(report.residual_final - recomputed) <= 1e-12 * recomputed
 
 
 def test_newton_converges_quadratically(monkeypatch):
